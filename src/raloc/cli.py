@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,36 +30,33 @@ from . import io as rio
 from . import sim
 from .factors import RangeMeasurement
 from .lie import Pose, PoseWithCovariance
-from .preintegration import OdometrySample
+from .preintegration import OdometrySample, default_covariance
+from .solver import SingularSystem
 from .ufls import Ufls, UflsConfig, offset_position_measurement
 from .wfls import Wfls, WflsConfig
 
 MODES = ("full", "no-bias", "no-wnoa", "ufls-only")
 
+
+def _yaml_defaults(config_class) -> dict:
+    """Defaults of every config-file key of an estimator config dataclass.
+
+    ``relative_odometry`` comes from the log and ``solver`` is not
+    configurable, so neither is a key.
+    """
+    out = {}
+    for f in fields(config_class):
+        if f.name in ("relative_odometry", "solver"):
+            continue
+        value = f.default if f.default_factory is MISSING else f.default_factory()
+        out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return out
+
+
 ESTIMATOR_SCHEMA = {
     "anchors": rio.REQUIRED,
-    "ufls": {
-        "window": 1.0,
-        "update_rate": 5.0,
-        "gate": 0.5,
-        "range_sigma": None,
-        "bias_estimation": True,
-        "bias_walk_sigma": 0.05,
-        "lever_arm": [0.0, 0.0, 0.0],
-        "initial_pose": None,
-        "initial_sigma_trans": 0.1,
-        "initial_sigma_rot": 0.1,
-        "huber_delta": None,
-        "gap_threshold": 0.5,
-        "gap_sigma_trans": 1.0,
-        "gap_sigma_rot": 0.5,
-    },
-    "wfls": {
-        "window": 1.0,
-        "update_rate": 10.0,
-        "qw": 0.1,
-        "velocity_prior_sigma": 1.0,
-    },
+    "ufls": _yaml_defaults(UflsConfig),
+    "wfls": _yaml_defaults(WflsConfig),
     "odometry": {"default_sigma": None},
 }
 
@@ -74,51 +71,16 @@ class EstimationDiverged(Exception):
 
 def _ufls_config(cfg: dict, mode: str) -> UflsConfig:
     u = cfg["ufls"]
-    initial = None
-    if u["initial_pose"] is not None:
-        vals = np.asarray(u["initial_pose"], dtype=float)
-        if vals.shape != (7,):
-            raise ValueError(
-                "ufls.initial_pose needs 7 values: px py pz qx qy qz qw"
-            )
-        initial = rio.parts_to_pose(vals[:3], vals[3:])
-    bias_estimation = bool(u["bias_estimation"]) and mode != "no-bias"
-    return UflsConfig(
-        window=float(u["window"]),
-        update_rate=float(u["update_rate"]),
-        gate=float(u["gate"]),
-        range_sigma=None if u["range_sigma"] is None else float(u["range_sigma"]),
-        bias_estimation=bias_estimation,
-        bias_walk_sigma=float(u["bias_walk_sigma"]),
-        lever_arm=np.asarray(u["lever_arm"], dtype=float),
-        initial_pose=initial,
-        initial_sigma_trans=float(u["initial_sigma_trans"]),
-        initial_sigma_rot=float(u["initial_sigma_rot"]),
-        huber_delta=None if u["huber_delta"] is None else float(u["huber_delta"]),
-        gap_threshold=float(u["gap_threshold"]),
-        gap_sigma_trans=float(u["gap_sigma_trans"]),
-        gap_sigma_rot=float(u["gap_sigma_rot"]),
-    )
+    return UflsConfig(**{**u, "bias_estimation": u["bias_estimation"] and mode != "no-bias"})
 
 
 def _wfls_config(cfg: dict) -> WflsConfig:
-    w = cfg["wfls"]
-    return WflsConfig(
-        window=float(w["window"]),
-        update_rate=float(w["update_rate"]),
-        qw=w["qw"],
-        velocity_prior_sigma=float(w["velocity_prior_sigma"]),
-    )
+    return WflsConfig(**cfg["wfls"])
 
 
 def _default_odom_cov(cfg: dict) -> np.ndarray | None:
     sigma = cfg["odometry"]["default_sigma"]
-    if sigma is None:
-        return None
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (6,):
-        raise ValueError("odometry.default_sigma needs 6 values (trans xyz, rot xyz)")
-    return np.diag(sigma**2)
+    return None if sigma is None else default_covariance(sigma)
 
 
 def read_dataset(path) -> list:
@@ -199,10 +161,8 @@ def run_pipeline(
         start = time.perf_counter()
         try:
             est = ufls.update(t)
-        except ValueError as err:
-            if "singular" in str(err):
-                raise EstimationDiverged(f"update at {t:.3f} s: {err}") from None
-            raise
+        except SingularSystem as err:
+            raise EstimationDiverged(f"update at {t:.3f} s: {err}") from None
         result.update_seconds.append(time.perf_counter() - start)
         if est is None:
             return
@@ -258,18 +218,10 @@ def run_pipeline(
         if isinstance(rec, rio.OdomRecord):
             if rec.relative != relative:
                 raise ValueError("odometry stream mixes absolute and relative records")
-            if rec.cov_upper is not None:
-                cov = rio.unpack_upper(rec.cov_upper)
-            elif default_odom_cov is not None:
-                cov = default_odom_cov
-            else:
-                raise ValueError(
-                    f"odometry record at {rec.stamp} has no covariance and "
-                    "odometry.default_sigma is not set"
-                )
-            pose = rio.parts_to_pose(rec.position, rec.quaternion)
-            if not ufls.ingest_odometry(OdometrySample(rec.stamp, PoseWithCovariance(pose, cov))):
+            sample = rio.odometry_sample(rec, default_odom_cov)
+            if not ufls.ingest_odometry(sample):
                 continue
+            pose = sample.pose.mean
             odom_abs = odom_abs @ pose if relative else pose
             last_odom = rec.stamp
             if next_utick is None:
@@ -442,7 +394,7 @@ def cmd_estimate(args) -> int:
     if result.update_seconds:
         ms = np.array(result.update_seconds) * 1e3
         print(
-            f"{len(ms)} updates: mean {ms.mean():.2f} ms, "
+            f"{len(result.estimates)} updates ({len(ms)} ticks): mean {ms.mean():.2f} ms, "
             f"p99 {np.percentile(ms, 99):.2f} ms, max {ms.max():.2f} ms",
             file=sys.stderr,
         )
@@ -454,15 +406,6 @@ def cmd_batch(args) -> int:
     cfg = rio.load_config(args.config, ESTIMATOR_SCHEMA)
     anchors = sim.anchors_from_config(cfg["anchors"])
     ufls_config = _ufls_config(cfg, "full")
-    initial = None
-    if ufls_config.initial_pose is not None:
-        initial = PoseWithCovariance(
-            ufls_config.initial_pose,
-            np.diag(
-                [ufls_config.initial_sigma_trans**2] * 3
-                + [ufls_config.initial_sigma_rot**2] * 3
-            ),
-        )
     odom_records = [rec for rec in records if isinstance(rec, rio.OdomRecord)]
     range_records = [rec for rec in records if isinstance(rec, rio.RangeRecord)]
     solution = sim.batch_oracle(
@@ -472,7 +415,7 @@ def cmd_batch(args) -> int:
         mode="const_bias" if args.bias == "const" else "no_bias",
         tick_rate=ufls_config.update_rate,
         lever_arm=ufls_config.lever_arm,
-        initial_pose=initial,
+        initial_pose=ufls_config.initial_prior(),
         range_sigma=ufls_config.range_sigma,
         default_odom_cov=_default_odom_cov(cfg),
     )

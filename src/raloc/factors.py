@@ -224,6 +224,21 @@ def offset_measurement_residual(
     return Residual(value, (jac,), weight)
 
 
+def huber_reweighted(res: Residual, delta: float | None) -> Residual:
+    """Huber reweighting of a scalar residual.
+
+    Past ``delta`` whitened units the weight shrinks so the residual's
+    influence grows only linearly; ``delta`` None leaves it unchanged.
+    """
+    if delta is None:
+        return res
+    wr = abs(float(res.weight[0, 0] * res.value[0]))
+    if wr <= delta:
+        return res
+    scale = np.sqrt(delta / wr)
+    return Residual(res.value, res.jacobians, scale * res.weight)
+
+
 class RangeFactor:
     """Binary factor between one pose and one anchor bias.
 
@@ -245,12 +260,7 @@ class RangeFactor:
         res = range_residual(
             pose, bias, self.measurement, self.anchor, self.arm, weight=self._weight
         )
-        if self.huber_delta is not None:
-            wr = abs(float(res.weight[0, 0] * res.value[0]))
-            if wr > self.huber_delta:
-                scale = np.sqrt(self.huber_delta / wr)
-                res = Residual(res.value, res.jacobians, scale * res.weight)
-        return res
+        return huber_reweighted(res, self.huber_delta)
 
 
 class RangeFactorFixedBias:
@@ -275,12 +285,7 @@ class RangeFactorFixedBias:
             pose, self.bias, self.measurement, self.anchor, self.arm, weight=self._weight
         )
         res = Residual(res.value, (res.jacobians[0],), res.weight)
-        if self.huber_delta is not None:
-            wr = abs(float(res.weight[0, 0] * res.value[0]))
-            if wr > self.huber_delta:
-                scale = np.sqrt(self.huber_delta / wr)
-                res = Residual(res.value, res.jacobians, scale * res.weight)
-        return res
+        return huber_reweighted(res, self.huber_delta)
 
 
 class OdometryFactor:

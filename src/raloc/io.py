@@ -29,7 +29,8 @@ import numpy as np
 import yaml
 from scipy.spatial.transform import Rotation
 
-from .lie import Pose
+from .lie import Pose, PoseWithCovariance
+from .preintegration import OdometrySample
 
 FLOAT_FMT = "{:.9f}"
 
@@ -85,6 +86,25 @@ def parts_to_pose(position: np.ndarray, quaternion: np.ndarray) -> Pose:
         raise ValueError(f"quaternion norm {norm} outside unit tolerance")
     rot = Rotation.from_quat(np.asarray(quaternion, dtype=float) / norm).as_matrix()
     return Pose(rot, np.asarray(position, dtype=float))
+
+
+def odometry_sample(rec: OdomRecord, default_cov: np.ndarray | None = None) -> OdometrySample:
+    """An ODOM record as the sample the estimators consume.
+
+    ``default_cov`` stands in for a record that carries no covariance (config
+    key ``odometry.default_sigma``); without it such a record is an error.
+    """
+    if rec.cov_upper is not None:
+        cov = unpack_upper(rec.cov_upper)
+    elif default_cov is not None:
+        cov = default_cov
+    else:
+        raise ValueError(
+            f"odometry record at {rec.stamp} has no covariance and "
+            "odometry.default_sigma is not set"
+        )
+    pose = parts_to_pose(rec.position, rec.quaternion)
+    return OdometrySample(rec.stamp, PoseWithCovariance(pose, cov))
 
 
 _UPPER = [(i, j) for i in range(6) for j in range(i, 6)]
@@ -240,6 +260,14 @@ def read_metrics(path) -> dict:
                 except ValueError:
                     out[key] = value
     return out
+
+
+def config_float(key: str, value) -> float:
+    """A config value as a float; anything else is a ValueError naming the key."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"config key '{key}' must be a number, got {value!r}") from None
 
 
 REQUIRED = object()

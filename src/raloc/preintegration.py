@@ -62,7 +62,7 @@ def default_covariance(sigmas: np.ndarray) -> np.ndarray:
     """
     sigmas = np.asarray(sigmas, dtype=float)
     if sigmas.shape != (6,):
-        raise ValueError("expected 6 per-axis sigmas [rho, phi]")
+        raise ValueError("odometry.default_sigma needs 6 per-axis sigmas [rho, phi]")
     return np.diag(sigmas * sigmas)
 
 
@@ -129,8 +129,7 @@ def sample_at(samples: list[OdometrySample], stamp: float) -> OdometrySample:
     """Interpolated stream value at a stamp inside the sample span."""
     if not samples:
         raise ValueError("empty odometry stream")
-    stamps = [s.stamp for s in samples]
-    hi = bisect.bisect_left(stamps, stamp)
+    hi = bisect.bisect_left(samples, stamp, key=lambda s: s.stamp)
     if hi == 0:
         return interpolate(samples[0], samples[0], stamp)
     if hi == len(samples):
@@ -138,14 +137,35 @@ def sample_at(samples: list[OdometrySample], stamp: float) -> OdometrySample:
     return interpolate(samples[hi - 1], samples[hi], stamp)
 
 
+def shadow_sample(
+    prev: OdometrySample | None, sample: OdometrySample, relative: bool
+) -> OdometrySample:
+    """Next entry of an absolute-pose copy of the stream, for ``relative_motion``.
+
+    An absolute sample is its own entry. A relative one is composed onto
+    ``prev`` (identity for the first), with a zero covariance since only the
+    mean serves differential queries.
+    """
+    if not relative:
+        return sample
+    base = prev.pose.mean if prev is not None else Pose.identity()
+    return OdometrySample(
+        sample.stamp, PoseWithCovariance(base @ sample.pose.mean, np.zeros((6, 6)))
+    )
+
+
 def relative_motion(samples: list[OdometrySample], t_a: float, t_b: float) -> Pose:
     """Body motion from time t_a to t_b according to the odometry stream.
 
     Differential use only: over short horizons the stream's drift is common
-    to both endpoints and cancels.
+    to both endpoints and cancels. Stamps outside the stream's span are
+    clamped to its ends, so no motion is assumed beyond the newest sample.
     """
-    a = sample_at(samples, t_a)
-    b = sample_at(samples, t_b)
+    if not samples:
+        raise ValueError("empty odometry stream")
+    lo, hi = samples[0].stamp, samples[-1].stamp
+    a = sample_at(samples, min(max(t_a, lo), hi))
+    b = sample_at(samples, min(max(t_b, lo), hi))
     return a.pose.mean.inverse() @ b.pose.mean
 
 

@@ -21,19 +21,11 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import io as rio
-from .factors import (
-    Anchor,
-    LeverArm,
-    OdometryFactor,
-    PriorFactor,
-    RangeFactor,
-    RangeFactorFixedBias,
-    RangeMeasurement,
-)
+from .factors import Anchor, LeverArm, OdometryFactor, PriorFactor, RangeMeasurement
 from .lie import Pose, PoseWithCovariance, exp
-from .preintegration import OdometrySample, accumulate, relative_motion
+from .preintegration import accumulate, shadow_sample
 from .solver import FactorGraph, SolveReport, SolverOptions, VariableKey, optimize
-from .ufls import multilaterate
+from .ufls import bootstrap_prior, range_factor
 
 
 def box_anchors(extent=(7.0, 8.0, 3.5)) -> list[Anchor]:
@@ -352,30 +344,6 @@ def read_nlos_labels(path) -> list[tuple[int, float, int, bool]]:
     return out
 
 
-def odom_samples_from_records(
-    records: list, default_cov: np.ndarray | None = None
-) -> tuple[list[OdometrySample], bool]:
-    """Convert ODOM records to stamped samples, checking mode uniformity."""
-    if not records:
-        raise ValueError("no odometry records")
-    modes = {rec.relative for rec in records}
-    if len(modes) != 1:
-        raise ValueError("odometry stream mixes absolute and relative records")
-    samples = []
-    for rec in records:
-        if rec.cov_upper is not None:
-            cov = rio.unpack_upper(rec.cov_upper)
-        elif default_cov is not None:
-            cov = default_cov
-        else:
-            raise ValueError(
-                f"odometry record at {rec.stamp} has no covariance and no default is set"
-            )
-        pose = rio.parts_to_pose(rec.position, rec.quaternion)
-        samples.append(OdometrySample(rec.stamp, PoseWithCovariance(pose, cov)))
-    return samples, records[0].relative
-
-
 @dataclass
 class BatchSolution:
     stamps: np.ndarray
@@ -385,36 +353,6 @@ class BatchSolution:
 
 
 ORACLE_OPTIONS = SolverOptions(max_iters=200, rel_cost_tol=1e-12, abs_step_tol=1e-12)
-
-
-def _bootstrap_prior(range_records, shadow, anchor_by_id, t0):
-    """Loose multilateration prior for runs without a configured start pose.
-
-    Uses the earliest range per anchor, with the odometry motion between the
-    start and each range stamp folded into the anchor position (identity
-    rotation approximation, fine for a loose prior). Returns None when fewer
-    than 4 distinct known anchors report.
-    """
-    earliest = {}
-    for rec in range_records:
-        if rec.anchor_id in anchor_by_id and rec.anchor_id not in earliest:
-            earliest[rec.anchor_id] = rec
-    if len(earliest) < 4:
-        return None
-    lo, hi = shadow[0].stamp, shadow[-1].stamp
-    positions, ranges = [], []
-    for rec in earliest.values():
-        anchor = anchor_by_id[rec.anchor_id]
-        motion = relative_motion(
-            shadow, float(np.clip(t0, lo, hi)), float(np.clip(rec.stamp, lo, hi))
-        )
-        positions.append(anchor.position - motion.position)
-        ranges.append(rec.range_m - anchor.bias_prior_mean)
-    fix, rms = multilaterate(np.asarray(positions), np.asarray(ranges))
-    sigma = max(0.3, 2.0 * rms)
-    return PoseWithCovariance(
-        Pose(np.eye(3), fix), np.diag([sigma**2] * 3 + [np.pi**2] * 3)
-    )
 
 
 def batch_oracle(
@@ -432,27 +370,31 @@ def batch_oracle(
     """Full-graph reference solution: every tick state, no marginalization.
 
     ``const_bias`` estimates one bias per anchor across the whole run;
-    ``no_bias`` holds all biases at zero. Ranges attach to the nearest tick
-    state, with the odometry-derived motion between the tick and the range
-    stamp folded into that factor's lever arm so the stamp mismatch does
-    not bias the fit. The first state gets a prior from ``initial_pose``; when
-    omitted, a loose multilateration fix from the earliest ranges stands in.
+    ``no_bias`` holds each anchor's bias at its prior mean. Ranges attach to
+    the nearest tick state through ``ufls.range_factor``, as in the online
+    smoother. The first state gets a prior from ``initial_pose``; when
+    omitted, ``ufls.bootstrap_prior`` on the earliest range per anchor
+    stands in.
     """
     if mode not in ("const_bias", "no_bias"):
         raise ValueError(f"unknown oracle mode {mode!r}")
-    samples, relative = odom_samples_from_records(odom_records, default_odom_cov)
-    if relative:
-        shadow = [OdometrySample(samples[0].stamp,
-                                 PoseWithCovariance(Pose.identity(), np.zeros((6, 6))))]
-        for s in samples[1:]:
-            shadow.append(OdometrySample(
-                s.stamp,
-                PoseWithCovariance(shadow[-1].pose.mean @ s.pose.mean, np.zeros((6, 6))),
-            ))
-    else:
-        shadow = samples
+    if not odom_records:
+        raise ValueError("no odometry records")
+    relative = odom_records[0].relative
+    if any(rec.relative != relative for rec in odom_records):
+        raise ValueError("odometry stream mixes absolute and relative records")
+    samples = [rio.odometry_sample(rec, default_odom_cov) for rec in odom_records]
+    shadow = []
+    for sample in samples:
+        shadow.append(shadow_sample(shadow[-1] if shadow else None, sample, relative))
     anchor_by_id = {a.id: a for a in anchors}
     arm = LeverArm(np.zeros(3) if lever_arm is None else np.asarray(lever_arm, dtype=float))
+    measurements = []
+    for rec in range_records:
+        if rec.anchor_id not in anchor_by_id:
+            raise ValueError(f"range names unknown anchor {rec.anchor_id}")
+        sigma = range_sigma if range_sigma is not None else rec.sigma_m
+        measurements.append(RangeMeasurement(rec.stamp, rec.anchor_id, rec.range_m, sigma))
 
     # in relative mode the first record's span precedes the stream start, and
     # accumulate() drops it at the initial cut
@@ -463,7 +405,10 @@ def batch_oracle(
     spans = accumulate(samples, list(ticks), relative=relative)
 
     if initial_pose is None:
-        initial_pose = _bootstrap_prior(range_records, shadow, anchor_by_id, t0)
+        earliest = {}
+        for z in measurements:
+            earliest.setdefault(z.anchor_id, z)
+        initial_pose = bootstrap_prior(earliest.values(), anchor_by_id, shadow, t0)
     if initial_pose is None:
         # fewer than 4 known anchors: a loose identity prior is all there is
         initial_pose = PoseWithCovariance(
@@ -483,27 +428,18 @@ def batch_oracle(
         graph.add_factor(OdometryFactor(pose_keys[i], pose_keys[i + 1], span))
 
     bias_keys = {}
-    for rec in range_records:
-        anchor = anchor_by_id.get(rec.anchor_id)
-        if anchor is None:
-            raise ValueError(f"range names unknown anchor {rec.anchor_id}")
-        idx = int(np.clip(round((rec.stamp - t0) * tick_rate), 0, n_ticks))
-        sigma = range_sigma if range_sigma is not None else rec.sigma_m
-        meas = RangeMeasurement(rec.stamp, rec.anchor_id, rec.range_m, sigma)
-        motion = relative_motion(shadow, float(ticks[idx]), rec.stamp)
-        arm_eff = LeverArm(motion.position + motion.rotation @ arm.offset)
-        if mode == "no_bias":
-            graph.add_factor(RangeFactorFixedBias(pose_keys[idx], meas, anchor, arm_eff))
-            continue
-        bkey = bias_keys.get(rec.anchor_id)
-        if bkey is None:
-            bkey = VariableKey.bias(rec.anchor_id, 0)
-            bias_keys[rec.anchor_id] = bkey
+    for z in measurements:
+        anchor = anchor_by_id[z.anchor_id]
+        idx = int(np.clip(round((z.stamp - t0) * tick_rate), 0, n_ticks))
+        bkey = bias_keys.get(z.anchor_id)
+        if bkey is None and mode == "const_bias":
+            bkey = VariableKey.bias(z.anchor_id, 0)
+            bias_keys[z.anchor_id] = bkey
             graph.add_variable(bkey, anchor.bias_prior_mean)
             graph.add_factor(
                 PriorFactor(bkey, anchor.bias_prior_mean, anchor.bias_prior_sigma**2)
             )
-        graph.add_factor(RangeFactor(pose_keys[idx], bkey, meas, anchor, arm_eff))
+        graph.add_factor(range_factor(pose_keys[idx], bkey, z, anchor, arm, shadow))
 
     report = optimize(graph, options)
     poses = [graph.values[k] for k in pose_keys]

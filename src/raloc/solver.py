@@ -442,6 +442,10 @@ def marginal_covariances(
     return out
 
 
+class SingularSystem(ValueError):
+    """The information matrix of a solve is not positive definite."""
+
+
 def _raise_singular(H, keys, offsets):
     """Name the unconstrained directions of a non-positive-definite system."""
     eigval, eigvec = np.linalg.eigh(H) if H.size else (np.zeros(0), np.zeros((0, 0)))
@@ -454,6 +458,6 @@ def _raise_singular(H, keys, offsets):
             if a <= comp < a + k.dim:
                 names.append(f"{k!r}/{_AXES[k.kind][comp - a]}")
                 break
-    raise ValueError(
+    raise SingularSystem(
         "information matrix singular; unconstrained directions: " + ", ".join(names)
     )

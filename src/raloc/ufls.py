@@ -34,6 +34,7 @@ from .factors import (
     RangeMeasurement,
     Residual,
 )
+from .io import config_float, parts_to_pose
 from .lie import Pose, PoseWithCovariance, transport_covariance
 from .preintegration import (
     OdometryAccumulator,
@@ -41,6 +42,7 @@ from .preintegration import (
     PreintegratedOdometry,
     relative_motion,
     sample_at,
+    shadow_sample,
 )
 from .solver import (
     FactorGraph,
@@ -54,6 +56,14 @@ from .solver import (
 STAMP_TOL = 1e-9
 
 
+# UflsConfig fields held as floats; range_sigma and huber_delta may be None
+_FLOAT_FIELDS = (
+    "window", "update_rate", "gate", "range_sigma", "bias_walk_sigma",
+    "initial_sigma_trans", "initial_sigma_rot", "huber_delta",
+    "gap_threshold", "gap_sigma_trans", "gap_sigma_rot",
+)
+
+
 @dataclass(frozen=True)
 class UflsConfig:
     """Tuning for the range-aided smoother.
@@ -65,6 +75,9 @@ class UflsConfig:
     keeps one constant bias variable per anchor for the whole run.
     ``gap_threshold`` flags odometry dropouts; spans bridging a dropout get
     their covariance inflated by the gap sigmas times the gap duration.
+    ``initial_pose`` is a Pose or the 7 values px py pz qx qy qz qw of a
+    config file. Numbers arrive as a config file holds them and are made
+    floats here; a value that is not one raises ValueError.
     """
 
     window: float = 1.0
@@ -82,10 +95,19 @@ class UflsConfig:
     gap_sigma_trans: float = 1.0
     gap_sigma_rot: float = 0.5
     relative_odometry: bool = False
-    default_odom_sigma: np.ndarray | None = None
     solver: SolverOptions = SolverOptions()
 
     def __post_init__(self):
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None or name not in ("range_sigma", "huber_delta"):
+                object.__setattr__(self, name, config_float(f"ufls.{name}", value))
+        object.__setattr__(self, "bias_estimation", bool(self.bias_estimation))
+        if self.initial_pose is not None and not isinstance(self.initial_pose, Pose):
+            vals = np.asarray(self.initial_pose, dtype=float)
+            if vals.shape != (7,):
+                raise ValueError("ufls.initial_pose needs 7 values: px py pz qx qy qz qw")
+            object.__setattr__(self, "initial_pose", parts_to_pose(vals[:3], vals[3:]))
         if self.window <= 0.0 or self.update_rate <= 0.0:
             raise ValueError("window and update_rate must be positive")
         if self.gate <= 0.0:
@@ -96,6 +118,15 @@ class UflsConfig:
                 "clean measurements would be rejected"
             )
         object.__setattr__(self, "lever_arm", np.asarray(self.lever_arm, dtype=float))
+
+    def initial_prior(self) -> PoseWithCovariance | None:
+        """Prior on the first state from ``initial_pose``; None when unset."""
+        if self.initial_pose is None:
+            return None
+        return PoseWithCovariance(
+            self.initial_pose,
+            np.diag([self.initial_sigma_trans**2] * 3 + [self.initial_sigma_rot**2] * 3),
+        )
 
 
 @dataclass(frozen=True)
@@ -167,6 +198,62 @@ def multilaterate(
         fit = scipy.optimize.least_squares(trimmed, fit.x)
     rms = float(np.sqrt(np.mean(fit.fun**2)))
     return fit.x, rms
+
+
+def bootstrap_prior(
+    picks, anchors: dict, samples: list[OdometrySample], stamp: float
+) -> PoseWithCovariance | None:
+    """Loose pose prior at ``stamp`` from a multilateration fix.
+
+    ``picks`` holds one range per anchor, chosen by the caller; with fewer
+    than 4 there is no fix and the result is None. The odometry motion
+    between ``stamp`` and each range stamp is folded into the anchor
+    position (identity-rotation approximation: good enough for a loose
+    prior), and each range loses its anchor's prior bias mean. Rotation
+    stays unconstrained.
+    """
+    picks = list(picks)
+    if len(picks) < 4:
+        return None
+    positions, ranges = [], []
+    for z in picks:
+        anchor = anchors[z.anchor_id]
+        motion = relative_motion(samples, stamp, z.stamp)
+        positions.append(anchor.position - motion.position)
+        ranges.append(z.range - anchor.bias_prior_mean)
+    position, rms = multilaterate(np.asarray(positions), np.asarray(ranges))
+    # a four or five range fix is nearly exactly determined, so a small
+    # residual says little about the actual error; keep the prior loose
+    # unless the fix carries real redundancy
+    floor = 0.3 if len(picks) >= 6 else 1.0
+    sigma = max(floor, 2.0 * rms)
+    return PoseWithCovariance(
+        Pose(np.eye(3), position), np.diag([sigma**2] * 3 + [np.pi**2] * 3)
+    )
+
+
+def range_factor(
+    pose_key,
+    bias_key,
+    z: RangeMeasurement,
+    anchor: Anchor,
+    arm: LeverArm,
+    samples: list[OdometrySample],
+    huber_delta: float | None = None,
+):
+    """Range factor on the state at ``pose_key.stamp`` for a range taken at ``z.stamp``.
+
+    The odometry motion between the two stamps is folded into the lever
+    arm, so the stamp mismatch does not bias the fit. Without a
+    ``bias_key`` the anchor bias is held at its prior mean.
+    """
+    motion = relative_motion(samples, pose_key.stamp, z.stamp)
+    arm_eff = LeverArm(motion.position + motion.rotation @ arm.offset)
+    if bias_key is None:
+        return RangeFactorFixedBias(
+            pose_key, z, anchor, arm_eff, anchor.bias_prior_mean, huber_delta
+        )
+    return RangeFactor(pose_key, bias_key, z, anchor, arm_eff, huber_delta)
 
 
 def offset_position_measurement(
@@ -254,15 +341,8 @@ class Ufls:
                 and sample.stamp - self._last_raw_stamp > self._config.gap_threshold
             ):
                 self._gaps.append((self._last_raw_stamp, sample.stamp))
-            if self._config.relative_odometry:
-                prev = self._raw[-1].pose.mean if self._raw else Pose.identity()
-                shadow = OdometrySample(
-                    sample.stamp,
-                    PoseWithCovariance(prev @ sample.pose.mean, np.zeros((6, 6))),
-                )
-            else:
-                shadow = sample
-            self._raw.append(shadow)
+            prev = self._raw[-1] if self._raw else None
+            self._raw.append(shadow_sample(prev, sample, self._config.relative_odometry))
             self._odom_queue.append(sample)
             self._last_raw_stamp = sample.stamp
             horizon = sample.stamp - self._config.window - 1.0
@@ -294,11 +374,7 @@ class Ufls:
         est = self._latest
         if est is None or not self._raw:
             return None
-        lo = self._raw[0].stamp
-        hi = self._raw[-1].stamp
-        motion = relative_motion(
-            self._raw, float(np.clip(est.stamp, lo, hi)), float(np.clip(stamp, lo, hi))
-        )
+        motion = relative_motion(self._raw, est.stamp, stamp)
         pose = est.pose.mean @ motion
         antenna = pose.position + pose.rotation @ self._arm.offset
         bias = est.biases.get(anchor.id, (0.0, 0.0))[0]
@@ -353,23 +429,13 @@ class Ufls:
         self._bootstrap_ranges.extend(take)
         if not raw or raw[0].stamp > now + STAMP_TOL:
             return None
-        if config.initial_pose is not None:
-            pose0 = config.initial_pose
-            cov0 = np.diag(
-                [config.initial_sigma_trans**2] * 3 + [config.initial_sigma_rot**2] * 3
-            )
-        else:
-            fix = self._multilaterate_at(now, raw)
-            if fix is None:
+        prior = config.initial_prior()
+        if prior is None:
+            # the latest range per anchor queued so far
+            latest = {z.anchor_id: z for z in self._bootstrap_ranges}
+            prior = bootstrap_prior(latest.values(), self._anchors, raw, now)
+            if prior is None:
                 return None
-            position, rms, count = fix
-            pose0 = Pose(np.eye(3), position)
-            # a four or five range fix is nearly exactly determined, so a
-            # small residual says little about the actual error; keep the
-            # prior loose unless the fix carries real redundancy
-            floor = 0.3 if count >= 6 else 1.0
-            sigma_t = max(floor, 2.0 * rms)
-            cov0 = np.diag([sigma_t**2] * 3 + [np.pi**2] * 3)
 
         self._t0 = now
         self._startup_until = now + config.window
@@ -381,32 +447,13 @@ class Ufls:
             self._bootstrap_increments = []
         key = VariableKey.pose(self._pose_count, now)
         self._pose_count += 1
-        self._graph.add_variable(key, pose0)
-        self._graph.add_factor(PriorFactor(key, pose0, cov0))
+        self._graph.add_variable(key, prior.mean)
+        self._graph.add_factor(PriorFactor(key, prior.mean, prior.cov))
         self._pose_keys.append(key)
         self._ranges_per_state[key] = 0
         self._attach_ranges(self._bootstrap_ranges, raw)
         self._bootstrap_ranges = []
         return self._finish_update(now, raw, set())
-
-    def _multilaterate_at(self, now: float, raw) -> tuple[np.ndarray, float, int] | None:
-        by_anchor: dict[int, RangeMeasurement] = {}
-        for z in self._bootstrap_ranges:
-            by_anchor[z.anchor_id] = z
-        if len(by_anchor) < 4:
-            return None
-        lo, hi = raw[0].stamp, raw[-1].stamp
-        positions, ranges = [], []
-        for z in by_anchor.values():
-            anchor = self._anchors[z.anchor_id]
-            motion = relative_motion(
-                raw, float(np.clip(now, lo, hi)), float(np.clip(z.stamp, lo, hi))
-            )
-            # identity-rotation approximation: good enough for a loose prior
-            positions.append(anchor.position - motion.position)
-            ranges.append(z.range - anchor.bias_prior_mean)
-        position, rms = multilaterate(np.asarray(positions), np.asarray(ranges))
-        return position, rms, len(by_anchor)
 
     def _inflate_gaps(self, span: PreintegratedOdometry, gaps, flags) -> PreintegratedOdometry:
         gap_span = 0.0
@@ -464,27 +511,14 @@ class Ufls:
         if not measurements:
             return
         config = self._config
-        lo, hi = raw[0].stamp, raw[-1].stamp
         stamps = np.array([k.stamp for k in self._pose_keys])
         for z in measurements:
-            idx = int(np.argmin(np.abs(stamps - z.stamp)))
-            key = self._pose_keys[idx]
+            key = self._pose_keys[int(np.argmin(np.abs(stamps - z.stamp)))]
             anchor = self._anchors[z.anchor_id]
-            motion = relative_motion(
-                raw, float(np.clip(key.stamp, lo, hi)), float(np.clip(z.stamp, lo, hi))
+            bias_key = self._bias_key(anchor, z.stamp) if config.bias_estimation else None
+            self._graph.add_factor(
+                range_factor(key, bias_key, z, anchor, self._arm, raw, config.huber_delta)
             )
-            arm_eff = LeverArm(motion.position + motion.rotation @ self._arm.offset)
-            if config.bias_estimation:
-                bias_key = self._bias_key(anchor, z.stamp)
-                self._graph.add_factor(
-                    RangeFactor(key, bias_key, z, anchor, arm_eff, config.huber_delta)
-                )
-            else:
-                self._graph.add_factor(
-                    RangeFactorFixedBias(
-                        key, z, anchor, arm_eff, anchor.bias_prior_mean, config.huber_delta
-                    )
-                )
             self._ranges_per_state[key] += 1
 
     def _slide_window(self, now: float) -> None:

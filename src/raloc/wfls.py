@@ -32,6 +32,7 @@ from .factors import (
     wnoa_process_cov,
     wnoa_transition,
 )
+from .io import config_float
 from .lie import Pose
 from .preintegration import OdometrySample
 from .solver import (
@@ -64,9 +65,13 @@ class WflsConfig:
     solver: SolverOptions = SolverOptions()
 
     def __post_init__(self):
+        for name in ("window", "update_rate", "velocity_prior_sigma"):
+            object.__setattr__(self, name, config_float(f"wfls.{name}", getattr(self, name)))
         if self.window <= 0.0 or self.update_rate <= 0.0:
             raise ValueError("window and update_rate must be positive")
         q = np.asarray(self.qw, dtype=float)
+        if not np.isfinite(q).all():
+            raise ValueError(f"qw must be finite, got {self.qw!r}")
         if q.ndim == 0:
             if q <= 0.0:
                 raise ValueError("qw must be positive")

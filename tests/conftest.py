@@ -4,15 +4,7 @@ import numpy as np
 
 from raloc import io as rio
 from raloc.factors import RangeMeasurement
-from raloc.lie import PoseWithCovariance
-from raloc.preintegration import OdometrySample
 from raloc.ufls import Ufls
-
-
-def record_to_sample(rec: rio.OdomRecord, default_cov=None) -> OdometrySample:
-    cov = rio.unpack_upper(rec.cov_upper) if rec.cov_upper is not None else default_cov
-    pose = rio.parts_to_pose(rec.position, rec.quaternion)
-    return OdometrySample(rec.stamp, PoseWithCovariance(pose, cov))
 
 
 def record_to_measurement(rec: rio.RangeRecord) -> RangeMeasurement:
@@ -45,7 +37,7 @@ def replay_ufls(dataset, ufls: Ufls, tick_rate: float | None = None):
             if next_tick is None:
                 next_tick = rec.stamp
             fire(min(rec.stamp - 1e-6, last_odom if last_odom is not None else -np.inf))
-            ufls.ingest_odometry(record_to_sample(rec))
+            ufls.ingest_odometry(rio.odometry_sample(rec))
             last_odom = rec.stamp
         else:
             fire(min(rec.stamp - 1e-6, last_odom if last_odom is not None else -np.inf))

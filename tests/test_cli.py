@@ -5,14 +5,20 @@ checked exactly as a caller would see them. Datasets stay short to keep the
 replay fast; accuracy at scale is covered by the estimator tests.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
 import raloc.io as rio
 from raloc import sim
-from raloc.cli import main, trajectory_metrics
+from raloc.cli import ESTIMATOR_SCHEMA, main, trajectory_metrics
 from raloc.lie import Pose
+from raloc.solver import SingularSystem
+from raloc.ufls import Ufls
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_estimator_config(path, anchors=None, **sections):
@@ -114,7 +120,7 @@ class TestSimulate:
 
 
 class TestEstimate:
-    def test_full_mode_outputs(self, noisy_run, tmp_path):
+    def test_full_mode_outputs(self, noisy_run, tmp_path, capsys):
         data, config, dataset = noisy_run
         prefix = str(tmp_path / "run-")
         code = main(
@@ -122,12 +128,16 @@ class TestEstimate:
              "--out", prefix]
         )
         assert code == 0
+        summary = capsys.readouterr().err
         corrected = rio.read_trajectory(prefix + "corrected.log")
         smoothed = rio.read_trajectory(prefix + "ufls.log")
         offsets = rio.read_trajectory(prefix + "offsets.log")
         metrics = rio.read_metrics(prefix + "metrics.txt")
         assert metrics["mode"] == "full"
         assert metrics["updates"] == len(smoothed) > 40
+        # the stderr summary counts estimates, as metrics.txt does, and the
+        # ticks that include the bootstrap tick apart
+        assert summary.startswith(f"{metrics['updates']} updates (")
         assert metrics["ranges_accepted"] + metrics["ranges_rejected"] == (
             metrics["range_records"]
         )
@@ -237,6 +247,46 @@ class TestEstimate:
         assert code == 2
         assert "never initialized" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("ufls", "window", "abc"), ("ufls", "gate", None), ("wfls", "update_rate", [1, 2]),
+         ("wfls", "qw", None)],
+    )
+    def test_non_numeric_config_value(self, quiet_run, tmp_path, capsys, section, key, value):
+        data, _, _ = quiet_run
+        config = write_estimator_config(tmp_path / "c.yaml", **{section: {key: value}})
+        code = main(["estimate", str(data / "dataset.log"), "--config", str(config),
+                     "--out", str(tmp_path / "x-")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
+    @pytest.mark.parametrize(
+        "error, code, message",
+        [(SingularSystem("information matrix singular"), 2, "estimation failed"),
+         (ValueError("some other fault"), 1, "error: some other fault")],
+    )
+    def test_update_failure_exit_codes(self, quiet_run, tmp_path, capsys, monkeypatch,
+                                       error, code, message):
+        data, config, _ = quiet_run
+
+        def failing_update(self, now):
+            raise error
+
+        monkeypatch.setattr(Ufls, "update", failing_update)
+        assert main(["estimate", str(data / "dataset.log"), "--config", str(config),
+                     "--out", str(tmp_path / "x-")]) == code
+        assert capsys.readouterr().err.startswith(message)
+
+    def test_readme_config_block_is_the_schema(self):
+        text = README.read_text(encoding="utf-8")
+        section = text[text.index("## Estimator config"):]
+        block = section[section.index("```yaml") + len("```yaml"):]
+        documented = yaml.safe_load(block[: block.index("```")])
+        assert set(documented) == set(ESTIMATOR_SCHEMA)
+        for key in ("ufls", "wfls", "odometry"):
+            assert documented[key] == ESTIMATOR_SCHEMA[key], key
+
     def test_ground_truth_as_dataset_is_rejected(self, noisy_run, tmp_path, capsys):
         data, config, _ = noisy_run
         code = main(
@@ -309,6 +359,36 @@ class TestBatch:
         metrics = rio.read_metrics(prefix + "metrics.txt")
         assert metrics["bias_model"] == "none"
         assert not any(key.startswith("anchor_") for key in metrics)
+
+    def test_no_bias_model_holds_prior_mean(self, tmp_path):
+        dataset = simulate_into(
+            tmp_path / "data",
+            duration=4.0,
+            range_sigma=0.0,
+            odom_noise_trans=0.0,
+            odom_noise_rot=0.0,
+            odom_drift_trans=np.zeros(3),
+            odom_drift_yaw=0.0,
+            bias_map={2: 0.4},
+        )
+        anchors = [
+            {"id": a.id, "position": [float(x) for x in a.position]}
+            for a in sim.ANCHORS_SMALL
+        ]
+        anchors[2]["bias_prior_mean"] = 0.4
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump({"anchors": anchors}))
+        prefix = str(tmp_path / "nb-")
+        assert main(
+            ["batch", str(tmp_path / "data" / "dataset.log"), "--config", str(config),
+             "--bias", "none", "--out", prefix]
+        ) == 0
+        truth = {round(t, 6): p for t, p in dataset.truth}
+        errs = [
+            np.linalg.norm(pose.position - truth[round(t, 6)].position)
+            for t, pose in rio.read_trajectory(prefix + "batch.log")
+        ]
+        assert max(errs) < 1e-3
 
 
 class TestEvaluate:

@@ -12,6 +12,8 @@ from raloc.preintegration import (
     compose,
     default_covariance,
     interpolate,
+    relative_motion,
+    shadow_sample,
     to_incremental,
 )
 
@@ -300,6 +302,33 @@ def test_interpolate_endpoints_and_geodesic():
     assert np.allclose(mid.pose.cov, np.eye(6) * 3.0)
     with pytest.raises(ValueError):
         interpolate(a, b, 1.5)
+
+
+def test_relative_motion_clamps_to_the_stream_span():
+    rng = np.random.default_rng(4)
+    stream = [sample(float(t), random_pose(rng), np.zeros((6, 6))) for t in range(4)]
+    inside = relative_motion(stream, 1.0, 3.0)
+    beyond = relative_motion(stream, 1.0, 7.5)
+    np.testing.assert_array_equal(beyond.rotation, inside.rotation)
+    np.testing.assert_array_equal(beyond.position, inside.position)
+    before = relative_motion(stream, -2.0, 1.0)
+    expected = stream[0].pose.mean.inverse() @ stream[1].pose.mean
+    np.testing.assert_array_equal(before.position, expected.position)
+
+
+def test_shadow_chain_composes_relative_increments():
+    rng = np.random.default_rng(5)
+    increments = [sample(0.1 * k, random_pose(rng), np.eye(6)) for k in range(1, 5)]
+    chain = []
+    for inc in increments:
+        chain.append(shadow_sample(chain[-1] if chain else None, inc, relative=True))
+    expected = Pose.identity()
+    for inc, entry in zip(increments, chain):
+        expected = expected @ inc.pose.mean
+        assert entry.stamp == inc.stamp
+        np.testing.assert_allclose(entry.pose.mean.position, expected.position, atol=1e-12)
+        assert not entry.pose.cov.any()
+    assert shadow_sample(None, increments[0], relative=False) is increments[0]
 
 
 def test_default_covariance():

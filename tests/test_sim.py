@@ -5,6 +5,7 @@ import pytest
 
 from raloc import io as rio
 from raloc import sim
+from raloc.factors import PriorFactor
 from raloc.lie import Pose, PoseWithCovariance
 
 
@@ -292,6 +293,23 @@ class TestBatchOracle:
         )
         assert without > 3.0 * with_bias
         assert without > 0.05
+
+    def test_bootstrap_prior_stays_loose_with_five_anchors(self, monkeypatch):
+        # the online smoother's rule: a 4 or 5 anchor fix carries no
+        # redundancy, so the prior sigma is floored at 1.0 m, not 0.3 m
+        sc = quiet_scenario(duration=2.0, anchors=sim.ANCHORS_SMALL[:5])
+        ds = sim.simulate(sc)
+        pose_priors = []
+
+        def recording_prior(key, mean, cov):
+            if isinstance(mean, Pose):
+                pose_priors.append(cov)
+            return PriorFactor(key, mean, cov)
+
+        monkeypatch.setattr(sim, "PriorFactor", recording_prior)
+        sim.batch_oracle(ds.ranges, ds.odometry, sc.anchors)
+        (cov,) = pose_priors
+        np.testing.assert_array_equal(np.sqrt(np.diag(cov)[:3]), [1.0, 1.0, 1.0])
 
     def test_unknown_anchor_in_ranges_rejected(self):
         ds = sim.simulate(quiet_scenario(duration=2.0))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import record_to_sample, replay_ufls
+from conftest import replay_ufls
 
 from raloc import sim
 from raloc.factors import RangeMeasurement
