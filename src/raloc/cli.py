@@ -212,13 +212,14 @@ def run_pipeline(
                 w_count += 1
                 next_wtick = t0 + w_count * w_dt
 
+    samples = rio.odometry_samples(odom_records, default_odom_cov)
     for rec in records:
         horizon = -np.inf if last_odom is None else last_odom
         fire(min(rec.stamp - 1e-6, horizon))
         if isinstance(rec, rio.OdomRecord):
             if rec.relative != relative:
                 raise ValueError("odometry stream mixes absolute and relative records")
-            sample = rio.odometry_sample(rec, default_odom_cov)
+            sample = next(samples)
             if not ufls.ingest_odometry(sample):
                 continue
             pose = sample.pose.mean
@@ -268,15 +269,28 @@ def _read_poses(path) -> list[tuple[float, Pose]]:
                 first = line.split()[0]
                 break
     if first in ("GT", "ODOM", "RANGE"):
-        poses = [
-            (rec.stamp, rio.parts_to_pose(rec.position, rec.quaternion))
-            for rec in rio.read_log(path)
-            if isinstance(rec, rio.GtRecord)
-        ]
-        if not poses:
+        truth = [rec for rec in rio.read_log(path) if isinstance(rec, rio.GtRecord)]
+        if not truth:
             raise ValueError(f"{path}: log carries no GT records")
-        return poses
+        poses = rio.poses_from_parts(
+            [rec.position for rec in truth], [rec.quaternion for rec in truth]
+        )
+        return [(rec.stamp, pose) for rec, pose in zip(truth, poses)]
     return rio.read_trajectory(path)
+
+
+def nearest_pairs(
+    stamps: np.ndarray, ref_stamps: np.ndarray, max_gap: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of each stamp and its nearest reference stamp, where within ``max_gap``.
+
+    One ``searchsorted`` over all stamps; an equidistant stamp pairs with the
+    earlier reference.
+    """
+    j = np.clip(np.searchsorted(ref_stamps, stamps), 1, len(ref_stamps) - 1)
+    j = np.where(np.abs(ref_stamps[j] - stamps) < np.abs(ref_stamps[j - 1] - stamps), j, j - 1)
+    near = np.flatnonzero(np.abs(ref_stamps[j] - stamps) <= max_gap)
+    return near, j[near]
 
 
 def trajectory_metrics(
@@ -297,13 +311,10 @@ def trajectory_metrics(
         raise ValueError(f"unknown alignment {align!r}")
     if not estimated or not reference:
         raise ValueError("empty trajectory")
-    ref_stamps = np.array([t for t, _ in reference])
-    pairs = []
-    for stamp, pose in estimated:
-        j = int(np.clip(np.searchsorted(ref_stamps, stamp), 1, len(ref_stamps) - 1))
-        j = j if abs(ref_stamps[j] - stamp) < abs(ref_stamps[j - 1] - stamp) else j - 1
-        if abs(ref_stamps[j] - stamp) <= max_gap:
-            pairs.append((pose, reference[j][1]))
+    est_idx, ref_idx = nearest_pairs(
+        np.array([t for t, _ in estimated]), np.array([t for t, _ in reference]), max_gap
+    )
+    pairs = [(estimated[i][1], reference[j][1]) for i, j in zip(est_idx, ref_idx)]
     if not pairs:
         raise ValueError(f"no stamps pair up within {max_gap * 1e3:.0f} ms")
     if align == "first-pose":

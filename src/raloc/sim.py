@@ -276,10 +276,12 @@ def simulate(scenario: Scenario) -> SimulatedDataset:
     for k in range(1, n):
         inc = poses[k - 1].inverse() @ poses[k]
         odom_poses.append(odom_poses[-1] @ inc @ exp(drift_xi + noise[k - 1]))
+    positions, quats = rio.parts_from_poses(odom_poses)
     odometry = [
         rio.OdomRecord(
             float(stamps[k]),
-            *rio.pose_to_parts(odom_poses[k]),
+            positions[k],
+            quats[k],
             cov_upper=np.zeros(21) if k == 0 else step_cov,
             relative=False,
         )
@@ -316,14 +318,15 @@ def write_dataset(dataset: SimulatedDataset, out_dir) -> None:
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     rio.write_log(out_dir / "dataset.log", dataset.merged_records())
-    rio.write_log(
-        out_dir / "ground_truth.log",
-        (rio.GtRecord(t, *rio.pose_to_parts(p)) for t, p in dataset.truth),
-    )
-    rio.write_log(
-        out_dir / "true_offsets.log",
-        (rio.GtRecord(t, *rio.pose_to_parts(p)) for t, p in dataset.offsets),
-    )
+    for name, stamped in (
+        ("ground_truth.log", dataset.truth),
+        ("true_offsets.log", dataset.offsets),
+    ):
+        positions, quats = rio.parts_from_poses([pose for _, pose in stamped])
+        rio.write_log(
+            out_dir / name,
+            (rio.GtRecord(t, pos, quat) for (t, _), pos, quat in zip(stamped, positions, quats)),
+        )
     with open(out_dir / "nlos_labels.txt", "w", encoding="utf-8") as handle:
         for j, (rec, flag) in enumerate(zip(dataset.ranges, dataset.nlos)):
             handle.write(
@@ -383,7 +386,7 @@ def batch_oracle(
     relative = odom_records[0].relative
     if any(rec.relative != relative for rec in odom_records):
         raise ValueError("odometry stream mixes absolute and relative records")
-    samples = [rio.odometry_sample(rec, default_odom_cov) for rec in odom_records]
+    samples = list(rio.odometry_samples(odom_records, default_odom_cov))
     shadow = []
     for sample in samples:
         shadow.append(shadow_sample(shadow[-1] if shadow else None, sample, relative))

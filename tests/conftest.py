@@ -37,7 +37,7 @@ def replay_ufls(dataset, ufls: Ufls, tick_rate: float | None = None):
             if next_tick is None:
                 next_tick = rec.stamp
             fire(min(rec.stamp - 1e-6, last_odom if last_odom is not None else -np.inf))
-            ufls.ingest_odometry(rio.odometry_sample(rec))
+            ufls.ingest_odometry(next(rio.odometry_samples([rec])))
             last_odom = rec.stamp
         else:
             fire(min(rec.stamp - 1e-6, last_odom if last_odom is not None else -np.inf))

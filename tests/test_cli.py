@@ -13,7 +13,7 @@ import yaml
 
 import raloc.io as rio
 from raloc import sim
-from raloc.cli import ESTIMATOR_SCHEMA, main, trajectory_metrics
+from raloc.cli import ESTIMATOR_SCHEMA, main, nearest_pairs, trajectory_metrics
 from raloc.lie import Pose
 from raloc.solver import SingularSystem
 from raloc.ufls import Ufls
@@ -319,6 +319,19 @@ class TestEstimate:
         assert main(["estimate", str(log), "--config", str(config),
                      "--out", str(tmp_path / "y-")]) == 0
 
+    @pytest.mark.parametrize("bad", ["RANGE {t} 1 nan 0.1", "ODOM {t} abs 0 0 0 nan 0 0 1"])
+    def test_non_finite_record_is_rejected(self, quiet_run, tmp_path, capsys, bad):
+        data, config, _ = quiet_run
+        lines = (data / "dataset.log").read_text().splitlines()
+        stamp = lines[99].split()[1]
+        lines.insert(100, bad.format(t=stamp))
+        log = tmp_path / "nan.log"
+        log.write_text("\n".join(lines) + "\n")
+        code = main(["estimate", str(log), "--config", str(config),
+                     "--out", str(tmp_path / "x-")])
+        assert code == 1
+        assert "nan.log:101: non-finite value nan" in capsys.readouterr().err
+
     def test_unknown_config_key(self, noisy_run, tmp_path, capsys):
         data, _, _ = noisy_run
         config = write_estimator_config(tmp_path / "c.yaml", ufls={"gatee": 1.0})
@@ -451,6 +464,49 @@ class TestEvaluate:
         bent = trajectory_metrics(kinked, line)
         assert flat["smoothness"] < 1e-12
         assert bent["smoothness"] == pytest.approx(0.1, abs=1e-9)
+
+    def test_non_finite_trajectory_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "traj.log"
+        self.make_trajectory(path, [[0, 0, 0]] * 3)
+        path.write_text(path.read_text() + "0.3 inf 0 0 0 0 0 1\n")
+        assert main(["evaluate", str(path), str(path)]) == 1
+        assert "traj.log:4: non-finite value inf" in capsys.readouterr().err
+
+    def test_pairing_matches_per_pose_search(self):
+        """One vectorized search pairs exactly as a search per estimated pose."""
+        rng = np.random.default_rng(3)
+        ref_t = np.round(np.cumsum(rng.uniform(0.002, 0.02, size=200)), 3)
+        # exact ties between two references, exact hits, the max_gap edge,
+        # stamps beyond either end, and random ones
+        est_t = np.sort(np.concatenate([
+            (ref_t[:-1] + ref_t[1:]) / 2.0,
+            ref_t[::7],
+            ref_t[::11] + 0.010,
+            [ref_t[0] - 0.010, ref_t[0] - 0.5, ref_t[-1] + 0.010, ref_t[-1] + 0.5],
+            rng.uniform(ref_t[0], ref_t[-1], size=100),
+        ]))
+        expected = []
+        for k, stamp in enumerate(est_t):
+            j = int(np.clip(np.searchsorted(ref_t, stamp), 1, len(ref_t) - 1))
+            j = j if abs(ref_t[j] - stamp) < abs(ref_t[j - 1] - stamp) else j - 1
+            if abs(ref_t[j] - stamp) <= 0.010:
+                expected.append((k, j))
+        ties = [(k, j) for k, j in expected
+                if j + 1 < len(ref_t) and ref_t[j + 1] - est_t[k] == est_t[k] - ref_t[j]]
+        assert ties
+        est_idx, ref_idx = nearest_pairs(est_t, ref_t, 0.010)
+        assert list(zip(est_idx.tolist(), ref_idx.tolist())) == expected
+        single, _ = nearest_pairs(est_t, ref_t[:1], 0.010)
+        assert single.tolist() == [k for k, t in enumerate(est_t) if abs(t - ref_t[0]) <= 0.010]
+
+        reference = [(float(t), Pose(np.eye(3), np.array([k, 0.0, 0.0])))
+                     for k, t in enumerate(ref_t)]
+        estimated = [(float(t), Pose(np.eye(3), np.array([0.0, k, 0.0])))
+                     for k, t in enumerate(est_t)]
+        metrics = trajectory_metrics(estimated, reference)
+        err = np.array([[j, -k, 0.0] for k, j in expected])
+        assert metrics["pairs"] == len(expected)
+        assert metrics["max_error"] == float(np.max(np.linalg.norm(err, axis=1)))
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         assert main(["evaluate", str(tmp_path / "no.log"),
