@@ -253,15 +253,6 @@ class FactorGraph:
             0.5 * float(r @ r), H, g, keys, offsets, tuple(values.values()), factors
         )
 
-    def normal_equations(self, keys=None, factors=None):
-        """Gauss-Newton H and g (= -J^T r) over the given keys.
-
-        Returns (H, g, keys, offsets). With ``factors`` given, only those
-        factors contribute (used by marginalization).
-        """
-        lin = self.linearize(keys=keys, factors=factors)
-        return lin.H, lin.g, lin.keys, lin.offsets
-
     def _stepped(self, step: np.ndarray, keys, offsets) -> dict:
         out = dict(self.values)
         for key in keys:
@@ -371,7 +362,8 @@ def marginalize(graph: FactorGraph, drop_keys) -> MarginalPrior:
 
     if touched:
         local = drop + border
-        H, g, _, offsets = graph.normal_equations(keys=local, factors=touched)
+        lin = graph.linearize(keys=local, factors=touched)
+        H, g = lin.H, lin.g
         nd = sum(k.dim for k in drop)
         H_dd = H[:nd, :nd]
         try:

@@ -8,16 +8,10 @@ into that factor's lever arm so the stamp mismatch does not bias the fit.
 Per-anchor range biases are estimated as scalar variables chained across
 windows by a random-walk prior. States older than the lag window are folded
 into a dense marginal prior.
-
-Thread contract: ``ingest_range`` and ``ingest_odometry`` only enqueue (plus
-a constant-time gate check) under a short lock; ``update`` drains the queues
-atomically and runs the solve outside the lock, so ingestion never blocks on
-optimization.
 """
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -279,7 +273,6 @@ class Ufls:
         if not self._anchors:
             raise ValueError("need at least one anchor")
         self._arm = LeverArm(config.lever_arm)
-        self._lock = threading.Lock()
         self._graph = FactorGraph()
         self._acc = OdometryAccumulator(relative=config.relative_odometry)
         # gate shadow: absolute odometry poses, fresh at ingest time
@@ -326,28 +319,27 @@ class Ufls:
 
     def ingest_odometry(self, sample: OdometrySample) -> bool:
         """Queue one odometry sample; drops non-monotone stamps with a warning."""
-        with self._lock:
-            if (
-                self._last_raw_stamp is not None
-                and sample.stamp <= self._last_raw_stamp + STAMP_TOL
-            ):
-                warnings.warn(
-                    f"odometry stamp {sample.stamp} not ahead of "
-                    f"{self._last_raw_stamp}; sample dropped"
-                )
-                return False
-            if (
-                self._last_raw_stamp is not None
-                and sample.stamp - self._last_raw_stamp > self._config.gap_threshold
-            ):
-                self._gaps.append((self._last_raw_stamp, sample.stamp))
-            prev = self._raw[-1] if self._raw else None
-            self._raw.append(shadow_sample(prev, sample, self._config.relative_odometry))
-            self._odom_queue.append(sample)
-            self._last_raw_stamp = sample.stamp
-            horizon = sample.stamp - self._config.window - 1.0
-            while len(self._raw) > 2 and self._raw[1].stamp < horizon:
-                self._raw.pop(0)
+        if (
+            self._last_raw_stamp is not None
+            and sample.stamp <= self._last_raw_stamp + STAMP_TOL
+        ):
+            warnings.warn(
+                f"odometry stamp {sample.stamp} not ahead of "
+                f"{self._last_raw_stamp}; sample dropped"
+            )
+            return False
+        if (
+            self._last_raw_stamp is not None
+            and sample.stamp - self._last_raw_stamp > self._config.gap_threshold
+        ):
+            self._gaps.append((self._last_raw_stamp, sample.stamp))
+        prev = self._raw[-1] if self._raw else None
+        self._raw.append(shadow_sample(prev, sample, self._config.relative_odometry))
+        self._odom_queue.append(sample)
+        self._last_raw_stamp = sample.stamp
+        horizon = sample.stamp - self._config.window - 1.0
+        while len(self._raw) > 2 and self._raw[1].stamp < horizon:
+            self._raw.pop(0)
         return True
 
     def ingest_range(self, z: RangeMeasurement) -> bool:
@@ -358,19 +350,18 @@ class Ufls:
             return False
         if self._config.range_sigma is not None and z.sigma != self._config.range_sigma:
             z = RangeMeasurement(z.stamp, z.anchor_id, z.range, self._config.range_sigma)
-        with self._lock:
-            predicted = self._predict_range_locked(z.stamp, anchor)
-            if predicted is not None:
-                gate = self._config.gate
-                if self._startup_until is not None and z.stamp < self._startup_until:
-                    gate *= 3.0
-                if abs(z.range - predicted) > gate:
-                    self._rejected += 1
-                    return False
-            self._range_queue.append(z)
+        predicted = self._predict_range(z.stamp, anchor)
+        if predicted is not None:
+            gate = self._config.gate
+            if self._startup_until is not None and z.stamp < self._startup_until:
+                gate *= 3.0
+            if abs(z.range - predicted) > gate:
+                self._rejected += 1
+                return False
+        self._range_queue.append(z)
         return True
 
-    def _predict_range_locked(self, stamp: float, anchor: Anchor) -> float | None:
+    def _predict_range(self, stamp: float, anchor: Anchor) -> float | None:
         est = self._latest
         if est is None or not self._raw:
             return None
@@ -386,16 +377,15 @@ class Ufls:
         Returns None while waiting for enough data to bootstrap (no
         configured initial pose and fewer than 4 distinct anchors seen).
         """
-        with self._lock:
-            if self._latest is not None and now <= self._latest.stamp + STAMP_TOL:
-                raise ValueError(f"update stamp {now} does not advance the estimate")
-            take = [z for z in self._range_queue if z.stamp <= now + STAMP_TOL]
-            self._range_queue = [z for z in self._range_queue if z.stamp > now + STAMP_TOL]
-            odom = self._odom_queue
-            self._odom_queue = []
-            raw = list(self._raw)
-            gaps = list(self._gaps)
-            self._gaps = [g for g in self._gaps if g[1] > now - self._config.window - 1.0]
+        if self._latest is not None and now <= self._latest.stamp + STAMP_TOL:
+            raise ValueError(f"update stamp {now} does not advance the estimate")
+        take = [z for z in self._range_queue if z.stamp <= now + STAMP_TOL]
+        self._range_queue = [z for z in self._range_queue if z.stamp > now + STAMP_TOL]
+        odom = self._odom_queue
+        self._odom_queue = []
+        # this span's inflation still sees the gaps that the prune drops
+        gaps = self._gaps
+        self._gaps = [g for g in gaps if g[1] > now - self._config.window - 1.0]
 
         flags = set()
         for sample in odom:
@@ -407,7 +397,7 @@ class Ufls:
                 self._acc.push(sample)
 
         if not self.started:
-            return self._bootstrap(now, take, raw)
+            return self._bootstrap(now, take)
 
         span = self._acc.cut(now)
         span = self._inflate_gaps(span, gaps, flags)
@@ -420,20 +410,20 @@ class Ufls:
         self._pose_keys.append(key)
         self._ranges_per_state[key] = 0
 
-        self._attach_ranges(take, raw)
+        self._attach_ranges(take)
         self._slide_window(now)
-        return self._finish_update(now, raw, flags)
+        return self._finish_update(now, flags)
 
-    def _bootstrap(self, now: float, take, raw) -> UflsEstimate | None:
+    def _bootstrap(self, now: float, take) -> UflsEstimate | None:
         config = self._config
         self._bootstrap_ranges.extend(take)
-        if not raw or raw[0].stamp > now + STAMP_TOL:
+        if not self._raw or self._raw[0].stamp > now + STAMP_TOL:
             return None
         prior = config.initial_prior()
         if prior is None:
             # the latest range per anchor queued so far
             latest = {z.anchor_id: z for z in self._bootstrap_ranges}
-            prior = bootstrap_prior(latest.values(), self._anchors, raw, now)
+            prior = bootstrap_prior(latest.values(), self._anchors, self._raw, now)
             if prior is None:
                 return None
 
@@ -451,9 +441,9 @@ class Ufls:
         self._graph.add_factor(PriorFactor(key, prior.mean, prior.cov))
         self._pose_keys.append(key)
         self._ranges_per_state[key] = 0
-        self._attach_ranges(self._bootstrap_ranges, raw)
+        self._attach_ranges(self._bootstrap_ranges)
         self._bootstrap_ranges = []
-        return self._finish_update(now, raw, set())
+        return self._finish_update(now, set())
 
     def _inflate_gaps(self, span: PreintegratedOdometry, gaps, flags) -> PreintegratedOdometry:
         gap_span = 0.0
@@ -507,7 +497,7 @@ class Ufls:
             self._current_bias[anchor.id] = key
         return key
 
-    def _attach_ranges(self, measurements, raw) -> None:
+    def _attach_ranges(self, measurements) -> None:
         if not measurements:
             return
         config = self._config
@@ -517,7 +507,7 @@ class Ufls:
             anchor = self._anchors[z.anchor_id]
             bias_key = self._bias_key(anchor, z.stamp) if config.bias_estimation else None
             self._graph.add_factor(
-                range_factor(key, bias_key, z, anchor, self._arm, raw, config.huber_delta)
+                range_factor(key, bias_key, z, anchor, self._arm, self._raw, config.huber_delta)
             )
             self._ranges_per_state[key] += 1
 
@@ -541,7 +531,7 @@ class Ufls:
         for k in dropped:
             self._ranges_per_state.pop(k, None)
 
-    def _finish_update(self, now: float, raw, flags: set) -> UflsEstimate:
+    def _finish_update(self, now: float, flags: set) -> UflsEstimate:
         report = optimize(self._graph, self._config.solver)
         if not report.converged:
             flags.add("not_converged")
@@ -563,7 +553,7 @@ class Ufls:
             bkey = self._current_bias[aid]
             var = covs[bkey]
             biases[aid] = (float(self._graph.values[bkey]), float(np.sqrt(var[0, 0])))
-        matched = sample_at(raw, now).pose.mean
+        matched = sample_at(self._raw, now).pose.mean
         estimate = UflsEstimate(
             stamp=now,
             pose=PoseWithCovariance(self._graph.values[key], cov),
@@ -572,8 +562,7 @@ class Ufls:
             rejected_count=self._rejected,
             flags=frozenset(flags),
         )
-        with self._lock:
-            self._latest = estimate
+        self._latest = estimate
         return estimate
 
     def frame_offset(self, estimate: UflsEstimate | None = None) -> PoseWithCovariance:

@@ -6,43 +6,28 @@ offset stream under a white-noise-on-acceleration motion prior, carries the
 offset rotation through unchanged, and composes the result with fresh
 odometry into high-rate corrected world-frame poses.
 
-States are [position, velocity] stacked vectors, one per ingested offset
-measurement, chained by constant-velocity motion factors and marginalized
-out of the lag window as they age. Between and beyond the measurement knots
-the smoothed trajectory is queried through the motion model itself, which
-keeps the published series consistent with the prior.
-
-Thread contract: ``ingest_offset`` only enqueues under a short lock;
-``update`` drains the queue and solves; ``correct`` composes the last
-published snapshot and may be called at high rate concurrently.
+The model is linear and Gaussian: a [position, velocity] state per offset
+measurement, chained by constant-velocity motion factors (``WnoaFactor``),
+a zero-mean prior on the first velocity (``VelocityPriorFactor``) and one
+position measurement per state (``OffsetMeasurementFactor``). The marginal
+of the newest state under that factor graph is exactly the posterior of a
+constant-velocity Kalman filter, so the head is computed in closed form:
+one predict and one update per measurement, no solver and no window. Past
+the newest knot the published sample is the motion model's propagation.
 """
 
 from __future__ import annotations
 
-import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .factors import (
-    OffsetMeasurementFactor,
-    Residual,
-    WnoaFactor,
-    wnoa_process_cov,
-    wnoa_transition,
-)
+from .factors import Residual, wnoa_process_cov, wnoa_transition
 from .io import config_float
 from .lie import Pose
 from .preintegration import OdometrySample
-from .solver import (
-    FactorGraph,
-    SolverOptions,
-    VariableKey,
-    marginal_covariances,
-    marginalize,
-    optimize,
-)
 
 STAMP_TOL = 1e-9
 
@@ -58,17 +43,15 @@ class WflsConfig:
     first state's unobserved velocity.
     """
 
-    window: float = 1.0
     update_rate: float = 10.0
     qw: float | np.ndarray = 0.1
     velocity_prior_sigma: float = 1.0
-    solver: SolverOptions = SolverOptions()
 
     def __post_init__(self):
-        for name in ("window", "update_rate", "velocity_prior_sigma"):
+        for name in ("update_rate", "velocity_prior_sigma"):
             object.__setattr__(self, name, config_float(f"wfls.{name}", getattr(self, name)))
-        if self.window <= 0.0 or self.update_rate <= 0.0:
-            raise ValueError("window and update_rate must be positive")
+        if self.update_rate <= 0.0:
+            raise ValueError("update_rate must be positive")
         q = np.asarray(self.qw, dtype=float)
         if not np.isfinite(q).all():
             raise ValueError(f"qw must be finite, got {self.qw!r}")
@@ -153,15 +136,14 @@ class _OffsetMeasurement:
 
 
 class Wfls:
-    """Fixed-lag smoother over [position, velocity] frame-offset states."""
+    """Constant-velocity Kalman filter over the [position, velocity] offset head."""
 
     def __init__(self, config: WflsConfig):
         self._config = config
-        self._lock = threading.Lock()
-        self._graph = FactorGraph()
         self._queue: list[_OffsetMeasurement] = []
-        self._keys: list[VariableKey] = []
-        self._count = 0
+        self._stamp: float | None = None
+        self._mean = np.zeros(6)
+        self._cov = np.zeros((6, 6))
         self._last_ingest: float | None = None
         self._last_update: float | None = None
         self._rotation = np.eye(3)
@@ -179,107 +161,61 @@ class Wfls:
         rotation: np.ndarray,
     ) -> bool:
         """Queue one frame-offset fix; drops non-monotone stamps with a warning."""
-        with self._lock:
-            if self._last_ingest is not None and stamp <= self._last_ingest + STAMP_TOL:
-                warnings.warn(
-                    f"offset stamp {stamp} not ahead of {self._last_ingest}; dropped"
-                )
-                return False
-            self._queue.append(
-                _OffsetMeasurement(
-                    stamp,
-                    np.asarray(position, dtype=float).copy(),
-                    np.asarray(cov, dtype=float).copy(),
-                    np.asarray(rotation, dtype=float).copy(),
-                )
+        if self._last_ingest is not None and stamp <= self._last_ingest + STAMP_TOL:
+            warnings.warn(
+                f"offset stamp {stamp} not ahead of {self._last_ingest}; dropped"
             )
-            self._last_ingest = stamp
+            return False
+        self._queue.append(
+            _OffsetMeasurement(
+                stamp,
+                np.asarray(position, dtype=float).copy(),
+                np.asarray(cov, dtype=float).copy(),
+                np.asarray(rotation, dtype=float).copy(),
+            )
+        )
+        self._last_ingest = stamp
         return True
 
     def update(self, now: float) -> SmoothedOffset:
-        """Advance to ``now``: absorb queued offsets, slide, solve, publish."""
-        config = self._config
-        with self._lock:
-            if self._last_update is not None and now <= self._last_update + STAMP_TOL:
-                raise ValueError(f"update stamp {now} does not advance the smoother")
-            take = [m for m in self._queue if m.stamp <= now + STAMP_TOL]
-            self._queue = [m for m in self._queue if m.stamp > now + STAMP_TOL]
-
+        """Advance to ``now``: filter in the queued offsets due by then, publish."""
+        if self._last_update is not None and now <= self._last_update + STAMP_TOL:
+            raise ValueError(f"update stamp {now} does not advance the smoother")
+        take = [m for m in self._queue if m.stamp <= now + STAMP_TOL]
+        self._queue = [m for m in self._queue if m.stamp > now + STAMP_TOL]
         for m in take:
-            key = VariableKey.offset(self._count, m.stamp)
-            self._count += 1
-            if self._keys:
-                prev = self._keys[-1]
-                dt = m.stamp - prev.stamp
-                value = wnoa_transition(dt) @ self._graph.values[prev]
-                self._graph.add_variable(key, value)
-                self._graph.add_factor(WnoaFactor(prev, key, dt, config.qw))
-            else:
-                value = np.concatenate([m.position, np.zeros(3)])
-                self._graph.add_variable(key, value)
-                self._graph.add_factor(
-                    VelocityPriorFactor(key, config.velocity_prior_sigma)
-                )
-            self._graph.add_factor(OffsetMeasurementFactor(key, m.position, m.cov))
-            self._keys.append(key)
-            self._rotation = m.rotation
-
-        if not self._keys:
+            self._absorb(m)
+        if self._stamp is None:
             raise ValueError("no offset measurements ingested yet")
 
-        keep_from = now - config.window - STAMP_TOL
-        drop = [k for k in self._keys[:-1] if k.stamp < keep_from]
-        if drop:
-            marginalize(self._graph, drop)
-            dropped = set(drop)
-            self._keys = [k for k in self._keys if k not in dropped]
-
-        report = optimize(self._graph, config.solver)
-        newest = self._keys[-1]
-        val = self._graph.values[newest]
-        knot = OffsetState(newest.stamp, val[:3].copy(), val[3:].copy())
-        sample = self.query(now)
-        cov = marginal_covariances(self._graph, [newest], report.linearization)[newest]
-        out = SmoothedOffset(now, knot, sample, self._rotation.copy(), cov)
-        with self._lock:
-            self._latest = out
-            self._last_update = now
+        x = self._mean
+        knot = OffsetState(self._stamp, x[:3].copy(), x[3:].copy())
+        ahead = wnoa_transition(now - self._stamp) @ x
+        sample = OffsetState(now, ahead[:3], ahead[3:])
+        out = SmoothedOffset(now, knot, sample, self._rotation.copy(), self._cov.copy())
+        self._latest = out
+        self._last_update = now
         return out
 
-    def query(self, stamp: float) -> OffsetState:
-        """Motion-model posterior mean at an arbitrary stamp.
-
-        Between two knots this is the standard sparse-GP interpolation from
-        the bracketing states; outside the knot span it is constant-velocity
-        propagation from the nearest knot. Call from the estimation context
-        (it reads live graph values).
-        """
-        if not self._keys:
-            raise ValueError("no offset states yet")
-        stamps = [k.stamp for k in self._keys]
-        if stamp <= stamps[0] + STAMP_TOL:
-            x = self._propagate(self._keys[0], stamp)
-        elif stamp >= stamps[-1] - STAMP_TOL:
-            x = self._propagate(self._keys[-1], stamp)
-        else:
-            hi = int(np.searchsorted(np.asarray(stamps), stamp))
-            x = self._interpolate(self._keys[hi - 1], self._keys[hi], stamp)
-        return OffsetState(stamp, x[:3].copy(), x[3:].copy())
-
-    def _propagate(self, key: VariableKey, stamp: float) -> np.ndarray:
-        return wnoa_transition(stamp - key.stamp) @ self._graph.values[key]
-
-    def _interpolate(self, ki: VariableKey, kj: VariableKey, stamp: float) -> np.ndarray:
-        qw = self._config.qw
-        xi = self._graph.values[ki]
-        xj = self._graph.values[kj]
-        dt_full = kj.stamp - ki.stamp
-        tau = stamp - ki.stamp
-        q_tau = wnoa_process_cov(tau, qw)
-        phi_j_tau = wnoa_transition(dt_full - tau)
-        q_full = wnoa_process_cov(dt_full, qw)
-        psi = q_tau @ phi_j_tau.T @ np.linalg.inv(q_full)
-        return wnoa_transition(tau) @ xi + psi @ (xj - wnoa_transition(dt_full) @ xi)
+    def _absorb(self, m: _OffsetMeasurement) -> None:
+        """Predict the head to ``m.stamp`` and update it with the position fix."""
+        self._rotation = m.rotation
+        if self._stamp is None:
+            sigma = self._config.velocity_prior_sigma
+            self._mean = np.concatenate([m.position, np.zeros(3)])
+            self._cov = scipy.linalg.block_diag(m.cov, sigma**2 * np.eye(3))
+            self._stamp = m.stamp
+            return
+        dt = m.stamp - self._stamp
+        phi = wnoa_transition(dt)
+        x = phi @ self._mean
+        P = phi @ self._cov @ phi.T + wnoa_process_cov(dt, self._config.qw)
+        # the measurement sees the position half: H = [I 0]
+        gain = np.linalg.solve(P[:3, :3] + m.cov, P[:3, :]).T
+        self._mean = x + gain @ (m.position - x[:3])
+        P = P - gain @ P[:3, :]
+        self._cov = 0.5 * (P + P.T)
+        self._stamp = m.stamp
 
     def correct(self, odom: OdometrySample) -> CorrectedPose:
         """Compose the latest smoothed offset with one odometry sample.
@@ -289,8 +225,7 @@ class Wfls:
         velocity. Before the first update the odometry pose passes through
         flagged as unaligned.
         """
-        with self._lock:
-            latest = self._latest
+        latest = self._latest
         if latest is None:
             return CorrectedPose(
                 odom.stamp, odom.pose.mean, np.zeros(3), np.eye(3), False
@@ -303,11 +238,3 @@ class Wfls:
             latest.rotation.copy(),
             True,
         )
-
-    def window_states(self) -> list[OffsetState]:
-        """Current [p, v] values of every state in the window."""
-        out = []
-        for k in self._keys:
-            val = self._graph.values[k]
-            out.append(OffsetState(k.stamp, val[:3].copy(), val[3:].copy()))
-        return out

@@ -1,6 +1,7 @@
-"""The pair summary of tools/bench_pairs.py, on made-up run lines."""
+"""tools/bench_pairs.py: the pair summary on made-up run lines, and checkout sources."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -56,3 +57,30 @@ def test_higher_is_better_and_missing_results(bench_pairs):
     assert summary["wall_s"]["pairs"] == 1
     assert not summary["change_all_correct"]
     assert summary["parent_all_correct"]
+
+
+def test_checkout_directory_recorded_by_commit(bench_pairs, tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], check=True, capture_output=True)
+
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    run_py = repo / "perfbench" / "run.py"
+    run_py.write_text("print(1)\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "one")
+    head = bench_pairs.git("rev-parse", "HEAD", where=repo)
+    path, source = bench_pairs.checkout(str(repo), tmp_path / "scratch", "parent")
+    assert path == repo.resolve()
+    assert source == {"source": "directory", "commit": head, "dirty": False}
+    run_py.write_text("print(2)\n")
+    _, source = bench_pairs.checkout(str(repo), tmp_path / "scratch", "change")
+    assert source == {"source": "directory", "commit": head, "dirty": True}
+
+    export = tmp_path / "export"
+    (export / "perfbench").mkdir(parents=True)
+    (export / "perfbench" / "run.py").write_text("print(1)\n")
+    _, source = bench_pairs.checkout(str(export), tmp_path / "scratch", "parent")
+    assert source == {"source": str(export.resolve())}

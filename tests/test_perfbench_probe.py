@@ -51,5 +51,8 @@ def test_traced_probe_counts_every_layer(short_log, tmp_path, command, options):
     assert out["exit_code"] == 0, proc.stderr
     layers = out["layers"]
     assert layers["factors.range_evals"] > 0
+    if command == "estimate":
+        assert layers["wfls.update_calls"] > 0
+        assert layers["wfls.correct_calls"] > 0
     if command == "batch":
         assert layers["sim.batch_dim"] > 0

@@ -276,10 +276,10 @@ def test_marginal_covariance_matches_dense_inverse():
     rng = np.random.default_rng(7)
     g, pose_keys, bias_keys, _ = build_range_graph(rng, n_poses=4)
     optimize(g)
-    H, _, keys, offsets = g.normal_equations()
-    dense = np.linalg.inv(H)
+    lin = g.linearize()
+    dense = np.linalg.inv(lin.H)
     for key in [pose_keys[2], bias_keys[1], pose_keys[-1]]:
-        a = offsets[key]
+        a = lin.offsets[key]
         block = dense[a : a + key.dim, a : a + key.dim]
         assert np.allclose(marginal_covariance(g, key), block, rtol=1e-8, atol=1e-10)
 
@@ -461,5 +461,5 @@ def test_stacked_assembly_matches_blockwise_reference(stacking, monkeypatch):
     assert np.abs(lin.g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
     assert lin.cost == pytest.approx(cost_ref, rel=1e-12)
     assert lin.cost == pytest.approx(g.cost(), rel=1e-12)
-    H, grad, _, _ = g.normal_equations(keys=keys)
-    assert np.array_equal(H, lin.H) and np.array_equal(grad, lin.g)
+    again = g.linearize(keys=keys)
+    assert np.array_equal(again.H, lin.H) and np.array_equal(again.g, lin.g)

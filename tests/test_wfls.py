@@ -1,15 +1,13 @@
-"""Offset smoother: GP equivalence, interpolation, smoothing, correction."""
+"""Offset smoother: batch and factor-graph equivalence, smoothing, correction."""
 
 import numpy as np
 import pytest
 
-from raloc.factors import wnoa_process_cov, wnoa_transition
+from raloc.factors import OffsetMeasurementFactor, WnoaFactor, wnoa_transition
 from raloc.lie import Pose, PoseWithCovariance, exp
 from raloc.preintegration import OdometrySample
-from raloc.solver import SolverOptions
-from raloc.wfls import OffsetState, Wfls, WflsConfig
-
-TIGHT = SolverOptions(max_iters=100, rel_cost_tol=0.0, abs_step_tol=1e-13)
+from raloc.solver import FactorGraph, VariableKey, marginal_covariances
+from raloc.wfls import VelocityPriorFactor, Wfls, WflsConfig
 
 
 def feed(wfls, knots, update_stamps):
@@ -90,10 +88,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="positive definite"):
             WflsConfig(qw=np.diag([1.0, -0.1, 1.0]))
 
-    def test_bad_window_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            WflsConfig(window=0.0)
-
 
 class TestBasics:
     def test_first_offset_seeds_state(self):
@@ -121,7 +115,7 @@ class TestBasics:
         p0 = np.array([1.0, 2.0, 0.0])
         stamps = np.arange(16) * 0.2
         knots = make_knots(stamps, [p0 + v * t for t in stamps], 1e-4)
-        wfls = Wfls(WflsConfig(window=1e6, solver=TIGHT))
+        wfls = Wfls(WflsConfig())
         outs = feed(wfls, knots, stamps[1:] + 0.05)
         np.testing.assert_allclose(outs[-1].knot.velocity, v, atol=1e-6)
         np.testing.assert_allclose(
@@ -156,6 +150,20 @@ class TestBasics:
         assert out.knot.stamp == 0.5
 
 
+def head_information_graph(knots, config):
+    """Full-span factor graph of the model, valued at its dense solution."""
+    graph = FactorGraph()
+    keys = [VariableKey.offset(i, k[0]) for i, k in enumerate(knots)]
+    for key, value in zip(keys, batch_gp_solve(knots, config.qw, config.velocity_prior_sigma)):
+        graph.add_variable(key, value)
+    graph.add_factor(VelocityPriorFactor(keys[0], config.velocity_prior_sigma))
+    for key, (_, y, cov, _) in zip(keys, knots):
+        graph.add_factor(OffsetMeasurementFactor(key, y, cov))
+    for prev, key in zip(keys, keys[1:]):
+        graph.add_factor(WnoaFactor(prev, key, key.stamp - prev.stamp, config.qw))
+    return graph, keys[-1]
+
+
 class TestBatchEquivalence:
     def test_window_spanning_matches_dense_solve(self):
         rng = np.random.default_rng(7)
@@ -163,62 +171,18 @@ class TestBatchEquivalence:
         truth = np.array([0.2, -0.1, 0.4]) + np.outer(stamps, [0.1, 0.3, -0.2])
         noisy = truth + rng.normal(0.0, 0.05, size=truth.shape)
         knots = make_knots(stamps, noisy, 0.05)
-        config = WflsConfig(window=1e6, qw=0.1, solver=TIGHT)
+        config = WflsConfig(qw=0.1)
         wfls = Wfls(config)
-        feed(wfls, knots, stamps[1:] + 0.05)
-        got = wfls.window_states()
-        want = batch_gp_solve(knots, config.qw, config.velocity_prior_sigma)
-        assert len(got) == len(want)
-        for state, ref in zip(got, want):
-            np.testing.assert_allclose(state.position, ref[:3], atol=1e-8)
-            np.testing.assert_allclose(state.velocity, ref[3:], atol=1e-8)
-
-    def test_interpolation_matches_virtual_knot(self):
-        rng = np.random.default_rng(11)
-        stamps = np.arange(8) * 0.2
-        truth = np.array([1.0, 0.0, -0.5]) + np.outer(stamps, [0.2, -0.3, 0.1])
-        noisy = truth + rng.normal(0.0, 0.03, size=truth.shape)
-        knots = make_knots(stamps, noisy, 0.03)
-        config = WflsConfig(window=1e6, qw=0.1, solver=TIGHT)
-        wfls = Wfls(config)
-        feed(wfls, knots, stamps[1:] + 0.05)
-        tau = 0.87
-        got = wfls.query(tau)
-
-        # oracle: same dense solve with an extra measurement-free state at tau
-        aug = [(t, y, np.eye(3) * 0.03**2) for t, y, _, _ in knots]
-        times = [t for t, _, _ in aug]
-        idx = int(np.searchsorted(times, tau))
-        n = len(aug) + 1
-        rows, rhs = [], []
-        w0 = np.eye(3) / config.velocity_prior_sigma
-        row = np.zeros((3, 6 * n))
-        row[:, 3:6] = w0
-        rows.append(row)
-        rhs.append(np.zeros(3))
-        all_times = times[:idx] + [tau] + times[idx:]
-        meas = {i: aug[i][1] for i in range(idx)}
-        meas.update({i + 1: aug[i][1] for i in range(idx, len(aug))})
-        for i, y in meas.items():
-            w = np.eye(3) / 0.03
-            row = np.zeros((3, 6 * n))
-            row[:, 6 * i : 6 * i + 3] = w
-            rows.append(row)
-            rhs.append(w @ y)
-        for i in range(n - 1):
-            dt = all_times[i + 1] - all_times[i]
-            phi = wnoa_transition(dt)
-            q = wnoa_process_cov(dt, config.qw)
-            w = np.linalg.inv(np.linalg.cholesky(q))
-            row = np.zeros((6, 6 * n))
-            row[:, 6 * (i + 1) : 6 * (i + 2)] = w
-            row[:, 6 * i : 6 * i + 6] = -w @ phi
-            rows.append(row)
-            rhs.append(np.zeros(6))
-        x, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)
-        ref = x.reshape(n, 6)[idx]
-        np.testing.assert_allclose(got.position, ref[:3], atol=1e-6)
-        np.testing.assert_allclose(got.velocity, ref[3:], atol=1e-6)
+        outs = feed(wfls, knots, stamps[1:] + 0.05)
+        for out in outs:
+            seen = [k for k in knots if k[0] <= out.stamp]
+            want = batch_gp_solve(seen, config.qw, config.velocity_prior_sigma)[-1]
+            assert out.knot.stamp == seen[-1][0]
+            np.testing.assert_allclose(out.knot.position, want[:3], atol=1e-8)
+            np.testing.assert_allclose(out.knot.velocity, want[3:], atol=1e-8)
+            graph, head = head_information_graph(seen, config)
+            cov = marginal_covariances(graph, [head])[head]
+            assert np.abs(out.cov - cov).max() <= 1e-9 * np.abs(cov).max()
 
 
 class TestSmoothing:
@@ -277,28 +241,20 @@ class TestSmoothing:
 
 
 class TestSlidingWindow:
-    def test_states_leave_the_window(self):
-        stamps = np.arange(31) * 0.2
-        knots = make_knots(stamps, [np.zeros(3)] * 31, 0.05)
-        wfls = Wfls(WflsConfig(window=1.0))
-        feed(wfls, knots, stamps[1:] + 0.05)
-        live = wfls.window_states()
-        assert len(live) <= 7
-        assert live[0].stamp >= stamps[-1] + 0.05 - 1.0 - 1e-6
-
     def test_sliding_matches_window_spanning_loosely(self):
+        # the filtered head after each update against a dense solve spanning
+        # every knot so far: no lag setting exists because none would matter
         rng = np.random.default_rng(3)
         stamps = np.arange(41) * 0.2
         truth = np.outer(np.sin(stamps * 0.5), [1.0, 0.0, 0.0])
         noisy = truth + rng.normal(0.0, 0.05, size=truth.shape)
         knots = make_knots(stamps, noisy, 0.05)
-        sliding = Wfls(WflsConfig(window=1.0, qw=0.05, solver=TIGHT))
-        outs_sliding = feed(sliding, knots, stamps[1:] + 0.05)
-        spanning = Wfls(WflsConfig(window=1e6, qw=0.05, solver=TIGHT))
-        outs_spanning = feed(spanning, knots, stamps[1:] + 0.05)
-        a = np.array([o.knot.position for o in outs_sliding])
-        b = np.array([o.knot.position for o in outs_spanning])
-        assert np.abs(a - b).max() < 1e-6
+        config = WflsConfig(qw=0.05)
+        outs = feed(Wfls(config), knots, stamps[1:] + 0.05)
+        for out in outs:
+            seen = [k for k in knots if k[0] <= out.stamp]
+            want = batch_gp_solve(seen, config.qw, config.velocity_prior_sigma)[-1]
+            assert np.abs(out.knot.position - want[:3]).max() < 1e-6
 
 
 class TestCorrect:
@@ -344,20 +300,18 @@ class TestCorrect:
 
 
 class TestQuery:
-    def test_query_at_knot_returns_knot(self):
-        stamps = np.arange(6) * 0.2
-        knots = make_knots(stamps, [np.array([t, 0, 0]) for t in stamps], 1e-3)
-        wfls = Wfls(WflsConfig(window=1e6))
-        feed(wfls, knots, stamps[1:] + 0.05)
-        state = wfls.query(0.4)
-        live = {round(s.stamp, 9): s for s in wfls.window_states()}
-        np.testing.assert_allclose(state.position, live[0.4].position, atol=1e-9)
-
     def test_query_beyond_newest_propagates(self):
         stamps = np.arange(6) * 0.2
         v = np.array([0.5, 0.0, 0.0])
         knots = make_knots(stamps, [v * t for t in stamps], 1e-4)
-        wfls = Wfls(WflsConfig(window=1e6, solver=TIGHT))
+        wfls = Wfls(WflsConfig())
         feed(wfls, knots, stamps[1:] + 0.05)
-        state = wfls.query(1.3)
-        np.testing.assert_allclose(state.position, v * 1.3, atol=1e-3)
+        out = wfls.update(1.3)
+        assert out.knot.stamp == stamps[-1]
+        assert out.sample.stamp == 1.3
+        np.testing.assert_allclose(out.sample.position, v * 1.3, atol=1e-3)
+        ahead = wnoa_transition(1.3 - out.knot.stamp) @ np.concatenate(
+            [out.knot.position, out.knot.velocity]
+        )
+        np.testing.assert_allclose(out.sample.position, ahead[:3], atol=1e-12)
+        np.testing.assert_allclose(out.sample.velocity, ahead[3:], atol=1e-12)

@@ -8,6 +8,8 @@ Usage, from the root of a checkout:
 ``--parent`` and ``--change`` each name a checkout directory (a clone, an
 export or a ``git worktree``) or a git revision of this repository, which is
 exported with ``git archive`` into a temporary directory and removed after.
+A directory that is the top of a git work tree is recorded by its ``HEAD``
+commit and whether its files differ from it (``dirty``), not by its path.
 For every workload the script runs ``--pairs`` pairs, one untraced run of
 each side per pair, on one seed; the side that runs first alternates from
 pair to pair, so a slow phase of the machine falls on both sides alike.
@@ -41,16 +43,28 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 SIDES = ("parent", "change")
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+def git(*args: str, where: Path = ROOT) -> str:
+    return subprocess.run(["git", "-C", str(where), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def directory_source(path: Path) -> dict:
+    """Where a checkout directory came from: its commit if it is a git work tree."""
+    try:
+        top = git("rev-parse", "--show-toplevel", where=path)
+    except subprocess.CalledProcessError:
+        top = None
+    if top is None or Path(top).resolve() != path:
+        return {"source": str(path)}
+    return {"source": "directory", "commit": git("rev-parse", "HEAD", where=path),
+            "dirty": bool(git("status", "--porcelain", where=path))}
 
 
 def checkout(spec: str, scratch: Path, side: str) -> tuple[Path, dict]:
     """A directory holding the program for ``spec``, and where it came from."""
     path = Path(spec)
     if (path / "perfbench" / "run.py").is_file():
-        return path.resolve(), {"source": str(path.resolve())}
+        return path.resolve(), directory_source(path.resolve())
     commit = git("rev-parse", "--verify", f"{spec}^{{commit}}")
     out = scratch / side
     out.mkdir(parents=True)
