@@ -1,10 +1,21 @@
 """Residuals and analytic Jacobians for every factor type in the two graphs.
 
-All residuals are reported un-whitened, together with a square-root
-information weight ``W`` (``W.T @ W`` equals the inverse measurement
-covariance) so the solver forms whitened rows ``W @ r`` and ``W @ J``.
-Pose Jacobians are taken with respect to the right perturbation
-``T * exp(delta)``; vector variables perturb additively.
+A factor is anything with ``keys``, the variables it reads in order, and
+``evaluate(*values) -> Residual``. Residuals are reported un-whitened,
+together with a square-root information weight ``W`` (``W.T @ W`` equals the
+inverse measurement covariance) so the solver forms whitened rows ``W @ r``
+and ``W @ J``. Pose Jacobians are taken with respect to the right
+perturbation ``T * exp(delta)``; vector variables perturb additively.
+
+Range, odometry and bias-walk factors also have a stacked form
+(``Stackable``): their data are (N, ...) arrays, one block of rows per
+measurement, and a factor built from one measurement has N = 1.
+``stack`` concatenates several factors of one class into one instance whose
+``evaluate`` takes stacked values (a pose as a pair of (N, 3, 3) rotations
+and (N, 3) positions, a bias as an (N,) array) and returns every row in one
+``Residual``. The single-factor ``evaluate`` is that kernel on N = 1.
+``range_residual``, ``odometry_residual`` and ``prior_residual`` state the
+per-measurement models plainly and serve as the kernels' references.
 """
 
 from __future__ import annotations
@@ -14,7 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .lie import Pose, adjoint, log, right_jacobian_inv, skew
+from .lie import (
+    Pose,
+    adjoint,
+    batch_log_jr_inv,
+    log,
+    right_jacobian_inv,
+    skew,
+    skew_rows,
+)
 from .preintegration import PreintegratedOdometry
 
 # Predicted anchor-antenna distance below which the range gradient is
@@ -71,17 +90,30 @@ class LeverArm:
 
 @dataclass(frozen=True)
 class Residual:
-    """Un-whitened residual, per-variable Jacobians, and sqrt-information."""
+    """Un-whitened residual rows, per-variable Jacobians, and sqrt-information.
+
+    ``value`` holds M rows and each Jacobian is (M, variable dim). ``weight``
+    is an (M, M) matrix, an (N, m, m) stack of blocks for N measurements of m
+    rows each (M = N m), or None for rows that are already whitened.
+    """
 
     value: np.ndarray
     jacobians: tuple[np.ndarray, ...]
-    weight: np.ndarray
+    weight: np.ndarray | None
 
     def whitened(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        return self.weight @ self.value, tuple(self.weight @ j for j in self.jacobians)
+        W = self.weight
+        if W is None:
+            return self.value, self.jacobians
+        if W.ndim == 2:
+            return W @ self.value, tuple(W @ j for j in self.jacobians)
+        n, m = W.shape[:2]
+        return (W @ self.value.reshape(n, m, 1)).reshape(-1), tuple(
+            (W @ j.reshape(n, m, -1)).reshape(n * m, -1) for j in self.jacobians
+        )
 
     def cost(self) -> float:
-        wr = self.weight @ self.value
+        wr = self.whitened()[0]
         return 0.5 * float(wr @ wr)
 
 
@@ -224,22 +256,32 @@ def offset_measurement_residual(
     return Residual(value, (jac,), weight)
 
 
-def huber_reweighted(res: Residual, delta: float | None) -> Residual:
-    """Huber reweighting of a scalar residual.
+class Stackable:
+    """Factor whose measurement data are (N, ...) arrays, named in ``_rows``."""
 
-    Past ``delta`` whitened units the weight shrinks so the residual's
-    influence grows only linearly; ``delta`` None leaves it unchanged.
-    """
-    if delta is None:
-        return res
-    wr = abs(float(res.weight[0, 0] * res.value[0]))
-    if wr <= delta:
-        return res
-    scale = np.sqrt(delta / wr)
-    return Residual(res.value, res.jacobians, scale * res.weight)
+    _rows: tuple[str, ...] = ()
+
+    @classmethod
+    def stack(cls, factors) -> "Stackable":
+        """One instance holding the rows of ``factors``, all of this class, in order.
+
+        Its ``keys`` hold, per argument of ``evaluate``, the N keys in order.
+        """
+        out = cls.__new__(cls)
+        out.keys = tuple(zip(*(f.keys for f in factors)))
+        for name in cls._rows:
+            setattr(out, name, np.concatenate([getattr(f, name) for f in factors]))
+        return out
 
 
-class RangeFactor:
+def _pose_rows(pose) -> tuple[np.ndarray, np.ndarray]:
+    """A pose argument as stacked rotations (N, 3, 3) and positions (N, 3)."""
+    if isinstance(pose, Pose):
+        return pose.rotation[None], pose.position[None]
+    return pose
+
+
+class RangeFactor(Stackable):
     """Binary factor between one pose and one anchor bias.
 
     ``huber_delta`` (whitened units) optionally caps the influence of large
@@ -247,57 +289,114 @@ class RangeFactor:
     the predicted-range gate upstream.
     """
 
+    _rows = ("_anchor_id", "_anchor", "_arm", "_arm_skew", "_range", "_inv_sigma", "_huber")
+
     def __init__(self, pose_key, bias_key, measurement: RangeMeasurement,
                  anchor: Anchor, arm: LeverArm, huber_delta: float | None = None):
         self.keys = (pose_key, bias_key)
-        self.measurement = measurement
-        self.anchor = anchor
-        self.arm = arm
-        self.huber_delta = huber_delta
-        self._weight = np.array([[1.0 / measurement.sigma]])
+        _set_range_rows(self, measurement, anchor, arm, huber_delta)
 
-    def evaluate(self, pose: Pose, bias: float) -> Residual:
-        res = range_residual(
-            pose, bias, self.measurement, self.anchor, self.arm, weight=self._weight
-        )
-        return huber_reweighted(res, self.huber_delta)
+    def evaluate(self, pose, bias) -> Residual:
+        value, j_pose, weight = _range_rows(self, pose, bias)
+        return Residual(value, (j_pose, np.ones((len(value), 1))), weight)
 
 
-class RangeFactorFixedBias:
+class RangeFactorFixedBias(Stackable):
     """Unary range factor with the anchor bias held at a constant.
 
     Used when bias estimation is disabled: the measurement still constrains
-    the pose, but no bias variable enters the problem.
+    the pose, but no bias variable enters the problem. It runs the range
+    kernel with the bias as a constant column.
     """
+
+    _rows = RangeFactor._rows + ("_bias",)
 
     def __init__(self, pose_key, measurement: RangeMeasurement, anchor: Anchor,
                  arm: LeverArm, bias: float = 0.0, huber_delta: float | None = None):
         self.keys = (pose_key,)
-        self.measurement = measurement
-        self.anchor = anchor
-        self.arm = arm
-        self.bias = float(bias)
-        self.huber_delta = huber_delta
-        self._weight = np.array([[1.0 / measurement.sigma]])
+        _set_range_rows(self, measurement, anchor, arm, huber_delta)
+        self._bias = np.array([float(bias)])
 
-    def evaluate(self, pose: Pose) -> Residual:
-        res = range_residual(
-            pose, self.bias, self.measurement, self.anchor, self.arm, weight=self._weight
+    def evaluate(self, pose) -> Residual:
+        value, j_pose, weight = _range_rows(self, pose, self._bias)
+        return Residual(value, (j_pose,), weight)
+
+
+def _set_range_rows(f, z: RangeMeasurement, anchor: Anchor, arm: LeverArm, huber_delta):
+    f._anchor_id = np.array([anchor.id])
+    f._anchor = anchor.position[None]
+    f._arm = arm.offset[None]
+    f._arm_skew = skew(arm.offset)[None]
+    f._range = np.array([z.range])
+    f._inv_sigma = np.array([1.0 / z.sigma])
+    f._huber = np.array([np.inf if huber_delta is None else float(huber_delta)])
+
+
+def _range_rows(f, pose, bias):
+    """``range_residual`` per row, then Huber: rows past ``_huber`` whitened
+    units get their weight shrunk so their influence grows only linearly.
+
+    Returns the residuals (N,), the pose Jacobians (N, 6) and the weights
+    (N, 1, 1); the bias Jacobian is one.
+    """
+    R, p = _pose_rows(pose)
+    diff = f._anchor - (R @ f._arm[:, :, None])[:, :, 0] - p
+    dist = np.sqrt(np.einsum("ni,ni->n", diff, diff))
+    close = dist < MIN_RANGE
+    if np.count_nonzero(close):
+        raise ValueError(
+            f"antenna coincides with anchor {f._anchor_id[np.argmax(close)]}: "
+            "range gradient undefined"
         )
-        res = Residual(res.value, (res.jacobians[0],), res.weight)
-        return huber_reweighted(res, self.huber_delta)
+    uR = (diff / dist[:, None])[:, None, :] @ R
+    j_pose = np.empty((len(dist), 6))
+    j_pose[:, :3] = -uR[:, 0]
+    j_pose[:, 3:] = (uR @ f._arm_skew)[:, 0]
+    value = dist + bias - f._range
+    weight = f._inv_sigma.copy()
+    wr = np.abs(weight * value)
+    over = wr > f._huber
+    if np.count_nonzero(over):
+        weight[over] *= np.sqrt(f._huber[over] / wr[over])
+    return value, j_pose, weight[:, None, None]
 
 
-class OdometryFactor:
-    """Binary relative-pose factor from a preintegrated odometry span."""
+class OdometryFactor(Stackable):
+    """Binary relative-pose factor from a preintegrated odometry span.
+
+    ``odometry_residual`` per row: log(delta^-1 Ti^-1 Tj), whitened by the
+    span's covariance.
+    """
+
+    _rows = ("_delta_inv_rotation", "_delta_inv_position", "_weight")
 
     def __init__(self, key_i, key_j, measurement: PreintegratedOdometry):
         self.keys = (key_i, key_j)
-        self.measurement = measurement
-        self._weight = odometry_weight(measurement.cov)
+        inv = measurement.delta.inverse()
+        self._delta_inv_rotation = inv.rotation[None]
+        self._delta_inv_position = inv.position[None]
+        self._weight = odometry_weight(measurement.cov)[None]
 
-    def evaluate(self, Ti: Pose, Tj: Pose) -> Residual:
-        return odometry_residual(Ti, Tj, self.measurement, weight=self._weight)
+    def evaluate(self, Ti, Tj) -> Residual:
+        Ri, pi = _pose_rows(Ti)
+        Rj, pj = _pose_rows(Tj)
+        Rit = Ri.transpose(0, 2, 1)
+        R_rel = Rit @ Rj
+        p_rel = Rit @ (pj - pi)[:, :, None]
+        D = self._delta_inv_rotation
+        value, jr_inv = batch_log_jr_inv(
+            D @ R_rel, (D @ p_rel)[:, :, 0] + self._delta_inv_position
+        )
+        # Ad(rel^-1) = [[Rt, -Rt skew(p)], [0, Rt]] for rel = (R, p), Rt = R^T
+        Rt = R_rel.transpose(0, 2, 1)
+        ad = np.zeros((len(Rt), 6, 6))
+        ad[:, :3, :3] = Rt
+        ad[:, :3, 3:] = -(Rt @ skew_rows(p_rel[:, :, 0]))
+        ad[:, 3:, 3:] = Rt
+        j_i = -(jr_inv @ ad)
+        return Residual(
+            value.reshape(-1), (j_i.reshape(-1, 6), jr_inv.reshape(-1, 6)), self._weight
+        )
 
 
 class PriorFactor:

@@ -289,6 +289,219 @@ def right_jacobian_inv(xi: np.ndarray) -> np.ndarray:
     return left_jacobian_inv(-np.asarray(xi, dtype=float))
 
 
+# Batched forms over a leading axis of N rows. Each row takes the branch the
+# scalar function would take (small-angle series, generic formula, near-pi
+# axis recovery), chosen by masks, so row n equals the scalar result on row n
+# to rounding. A pose row is a rotation (3, 3) and a position (3,) taken
+# from stacked arrays of shape (N, 3, 3) and (N, 3).
+
+# skew_rows(v) = (v @ _SKEW).reshape(N, 3, 3); every entry is exact
+_SKEW = np.zeros((3, 9))
+_SKEW[[2, 1, 2, 0, 1, 0], [1, 2, 3, 5, 6, 7]] = [-1.0, 1.0, 1.0, -1.0, -1.0, 1.0]
+_SKEW.flags.writeable = False
+
+# The small-angle series above as tables: row k holds the weights of
+# [1, theta^2, theta^4] in one coefficient.
+_POWERS = np.arange(3.0)[:, None]
+_EXP_SERIES = np.array([
+    [1.0, -1.0 / 6.0, 1.0 / 120.0],  # so3_exp a
+    [0.5, -1.0 / 24.0, 1.0 / 720.0],  # so3_exp b, so3_left_jacobian b
+    [1.0 / 6.0, -1.0 / 120.0, 1.0 / 5040.0],  # so3_left_jacobian c
+])
+_E = np.array([1.0 / 12.0, 1.0 / 720.0, 1.0 / 30240.0])  # so3_left_jacobian_inv e
+_C1, _C2, _C3 = (
+    np.array([1.0 / 6.0, -1.0 / 120.0, 1.0 / 5040.0]),  # _jacobian_q_block c1
+    np.array([-1.0 / 24.0, 1.0 / 720.0, -1.0 / 40320.0]),  # c2
+    np.array([-1.0 / 120.0, 1.0 / 5040.0, -1.0 / 362880.0]),  # c3
+)
+# e, c1, c2, then c1 + 3 c2 and c2 - 3 c3 as _jr_inv_rows uses them
+_JR_INV_SERIES = np.array([_E, _C1, _C2, _C1 + 3.0 * _C2, _C2 - 3.0 * _C3])
+# so3_log's theta / sin(theta), then the above at the log's angle
+_LOG_SERIES = np.vstack([[1.0, 1.0 / 6.0, 7.0 / 360.0], _JR_INV_SERIES])
+# R.reshape(N, 9) @ _VEE_TRACE = [w, trace], w = vee(R - R^T) / 2 as in so3_log
+_VEE_TRACE = np.zeros((9, 4))
+_VEE_TRACE[[7, 5, 2, 6, 3, 1, 0, 4, 8], [0, 0, 1, 1, 2, 2, 3, 3, 3]] = [
+    0.5, -0.5, 0.5, -0.5, 0.5, -0.5, 1.0, 1.0, 1.0
+]
+_VEE_TRACE.flags.writeable = False
+
+
+def skew_rows(v: np.ndarray) -> np.ndarray:
+    """(N, 3, 3) skew matrices of the rows of an (N, 3) array."""
+    return (v @ _SKEW).reshape(-1, 3, 3)
+
+
+def _coefficients(small, theta2, series, closed, *args) -> np.ndarray:
+    """Coefficient rows (k, N): the ``series`` table in theta^2 where ``small``,
+    ``closed(*args)`` elsewhere; each side is computed on its own rows only."""
+    n_small = np.count_nonzero(small)
+    if n_small == len(small):
+        return series @ theta2**_POWERS
+    if n_small == 0:
+        return closed(*args)
+    out = np.empty((len(series), len(theta2)))
+    out[:, small] = series @ theta2[small] ** _POWERS
+    big = ~small
+    out[:, big] = closed(*(a[big] for a in args))
+    return out
+
+
+def _exp_closed(theta2, theta):
+    sin_t = np.sin(theta)
+    return np.array([
+        sin_t / theta, (1.0 - np.cos(theta)) / theta2, (theta - sin_t) / (theta2 * theta)
+    ])
+
+
+def _inv_e(theta2, theta, sin_t, cos_t):
+    return (1.0 / theta2) - (1.0 + cos_t) / (2.0 * theta * sin_t)
+
+
+def _jr_inv_closed(theta2, theta):
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    theta4 = theta2 * theta2
+    c1 = (theta - sin_t) / (theta2 * theta)
+    c2 = (1.0 - theta2 / 2.0 - cos_t) / theta4
+    c3 = (theta - sin_t - theta2 * theta / 6.0) / (theta4 * theta)
+    return np.array([_inv_e(theta2, theta, sin_t, cos_t), c1, c2, c1 + 3.0 * c2, c2 - 3.0 * c3])
+
+
+def _log_closed(theta2, theta, sin_theta):
+    return np.vstack([theta / sin_theta, _jr_inv_closed(theta2, theta)])
+
+
+def _small(phi: np.ndarray):
+    theta2 = np.einsum("ni,ni->n", phi, phi)
+    theta = np.sqrt(theta2)
+    return theta < SMALL_ANGLE, theta2, theta
+
+
+def batch_exp(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise ``exp`` of (N, 6) twists: rotations (N, 3, 3), positions (N, 3)."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim != 2 or xi.shape[1] != 6:
+        raise ValueError("twists must be an (N, 6) array of [rho, phi] rows")
+    _check_finite(xi, "twist")
+    phi = xi[:, 3:]
+    small, theta2, theta = _small(phi)
+    coef = _coefficients(small, theta2, _EXP_SERIES, _exp_closed, theta2, theta)
+    S = skew_rows(phi)
+    # so3_exp (a, b) and so3_left_jacobian (b, c) at once
+    RJ = _I3 + coef[:2, :, None, None] * S + coef[1:, :, None, None] * (S @ S)
+    return RJ[0], (RJ[1] @ xi[:, :3, None])[:, :, 0]
+
+
+def batch_log(R: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Row-wise ``log`` of stacked poses: (N, 6) twists [rho, phi]."""
+    return _log_rows(R, p)[0]
+
+
+def batch_log_jr_inv(R: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``batch_log`` rows and ``batch_right_jacobian_inv`` of them, sharing the angle terms."""
+    xi, parts = _log_rows(R, p)
+    return xi, _jr_inv_rows(*parts)
+
+
+def _log_rows(R, p):
+    # the twists, and what _jr_inv_rows needs of them
+    R = np.asarray(R, dtype=float)
+    _check_finite(R, "rotation matrix")
+    w_trace = R.reshape(-1, 9) @ _VEE_TRACE
+    w, trace = w_trace[:, :3], w_trace[:, 3]
+    sin_theta = np.sqrt(np.einsum("ni,ni->n", w, w))
+    theta = np.arctan2(sin_theta, 0.5 * (trace - 1.0))
+    theta2 = theta * theta
+    # so3_log's scale of w, then _JR_INV_SERIES's coefficients at |phi| = theta
+    coef = _coefficients(
+        theta < SMALL_ANGLE, theta2, _LOG_SERIES, _log_closed, theta2, theta, sin_theta
+    )
+    phi = w * coef[0][:, None]
+    near = theta > np.pi - 1e-4
+    if np.count_nonzero(near):
+        phi[near] = theta[near, None] * _near_pi_axes(R[near], trace[near], w[near])
+    S, SS, jinv = _jinv_rows(phi, coef[1])
+    # so3_left_jacobian_inv(phi) = I - S / 2 + e S S = jinv^T
+    rho = (jinv.transpose(0, 2, 1) @ np.asarray(p, dtype=float)[:, :, None])[:, :, 0]
+    return np.concatenate([rho, phi], axis=1), (rho, phi, S, SS, jinv, coef[1:])
+
+
+def _near_pi_axes(R: np.ndarray, trace: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # so3_log's near-pi branch: the axis from the symmetric part, sign from w
+    S = R + R.transpose(0, 2, 1) - (trace - 1.0)[:, None, None] * _I3
+    rows = np.arange(len(S))
+    v = S[rows, :, np.argmax(np.diagonal(S, axis1=1, axis2=2), axis=1)]
+    norm = np.sqrt(np.einsum("ni,ni->n", v, v))
+    if (norm < 1e-12).any():
+        raise ValueError("rotation angle too close to pi to extract an axis")
+    v = v / norm[:, None]
+    sign = np.einsum("ni,ni->n", v, w)
+    first = v[rows, np.argmax(v != 0.0, axis=1)]
+    flip = (sign < 0.0) | ((sign == 0.0) & (first < 0.0))
+    v[flip] = -v[flip]
+    return v
+
+
+def batch_right_jacobian_inv(xi: np.ndarray) -> np.ndarray:
+    """Row-wise ``right_jacobian_inv`` of (N, 6) twists: (N, 6, 6)."""
+    xi = np.asarray(xi, dtype=float)
+    rho, phi = xi[:, :3], xi[:, 3:]
+    small, theta2, theta = _small(phi)
+    coef = _coefficients(small, theta2, _JR_INV_SERIES, _jr_inv_closed, theta2, theta)
+    return _jr_inv_rows(rho, phi, *_jinv_rows(phi, coef[0]), coef)
+
+
+def _jinv_rows(phi: np.ndarray, e: np.ndarray):
+    # skew(phi), its square, and so3_left_jacobian_inv(-phi) = I + S / 2 + e S S
+    S = skew_rows(phi)
+    SS = S @ S
+    return S, SS, _I3 + 0.5 * S + e[:, None, None] * SS
+
+
+def _jr_inv_rows(rho, phi, S, SS, jinv, coef) -> np.ndarray:
+    # right_jacobian_inv(xi) = left_jacobian_inv(-xi): the diagonal blocks are
+    # jinv, the corner is -jinv Q jinv with Q = _jacobian_q_block(-rho, -phi).
+    # With P = skew(rho), A = S P, B = S A and d = rho . phi, the identities
+    # P S = A^T, P S S = -B^T, S P S = -d S and S P S S + S S P S = -2 d S S
+    # give Q = c1 (A + A^T) + c2 (B - B^T) + d (k1 S + k2 S S) - P / 2,
+    # where k1 = c1 + 3 c2 and k2 = c2 - 3 c3.
+    _, c1, c2, k1, k2 = coef[:, :, None, None]
+    P = skew_rows(rho)
+    A = S @ P
+    B = S @ A
+    d = rho[:, None, :] @ phi[:, :, None]
+    Q = (
+        c1 * (A + A.transpose(0, 2, 1))
+        + c2 * (B - B.transpose(0, 2, 1))
+        + d * (k1 * S + k2 * SS)
+        - 0.5 * P
+    )
+    out = np.zeros((len(rho), 6, 6))
+    out[:, :3, :3] = jinv
+    out[:, :3, 3:] = -jinv @ Q @ jinv
+    out[:, 3:, 3:] = jinv
+    return out
+
+
+def retract_poses(poses, xi: np.ndarray) -> list[Pose]:
+    """``T @ exp(xi_n)`` for each pose and (N, 6) twist row, by one batched exp.
+
+    Each row keeps ``Pose.compose``'s chain count and re-orthonormalization.
+    """
+    dR, dp = batch_exp(xi)
+    R = np.array([T.rotation for T in poses])
+    p = np.array([T.position for T in poses])
+    R_out = R @ dR
+    p_out = (R @ dp[:, :, None])[:, :, 0] + p
+    out = []
+    for T, Rn, pn in zip(poses, R_out, p_out):
+        chain = T.chain + 1
+        if chain >= RENORM_CHAIN:
+            Rn, chain = _orthonormalize(Rn), 0
+        # copies: a pose kept for long must not hold the whole stack alive
+        out.append(Pose(Rn.copy(), pn.copy(), chain))
+    return out
+
+
 def symmetrize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 

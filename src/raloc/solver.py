@@ -6,11 +6,18 @@ Levenberg-Marquardt on the normal equations with on-manifold updates.
 Aged variables are folded into a dense marginal prior by Schur complement
 at the current linearization point.
 
-One linearization evaluates every factor once and writes its whitened rows
-into a stacked Jacobian ``J`` and residual ``r``; the cost, ``H = J^T J``
-and ``g = -J^T r`` all come from those rows. LM linearizes each candidate
-step once: the candidate's cost decides acceptance, and an accepted
-candidate's system serves the next iteration and the covariance query.
+A factor has ``keys`` and ``evaluate(*values) -> Residual`` (see
+:mod:`raloc.factors`). One linearization groups the factors by class, in
+first-seen order. A class with a stacked form (``stack``) is evaluated once
+for all of its factors, on values gathered into (N, ...) arrays; any other
+factor is a group of one. Every group's whitened rows are scattered into a
+stacked Jacobian ``J`` and residual ``r`` through index arrays; the cost,
+``H = J^T J`` and ``g = -J^T r`` all come from those rows. The grouping and
+the index arrays (the layout) depend only on the factor tuple and the key
+order, so the graph keeps the last one and reuses it across the LM
+candidates of one solve. LM linearizes each candidate step once: the
+candidate's cost decides acceptance, and an accepted candidate's system
+serves the next iteration and the covariance query.
 
 The normal equations are solved by dense Cholesky: windows here stay below
 a couple hundred tangent dimensions, where dense factorization is both
@@ -27,13 +34,13 @@ import scipy.linalg
 import scipy.sparse
 
 from .factors import Residual
-from .lie import exp, log, right_jacobian_inv
+from .lie import batch_log_jr_inv, exp, retract_poses
 
 KIND_POSE = "robot_pose"
 KIND_BIAS = "anchor_bias"
 KIND_OFFSET = "offset_state"
 
-# widest system whose stacked Jacobian is kept dense (see _gauss_newton)
+# widest system whose stacked Jacobian is kept dense (see _Layout.system)
 _DENSE_DIM = 256
 
 _DIMS = {KIND_POSE: 6, KIND_BIAS: 1, KIND_OFFSET: 6}
@@ -97,22 +104,6 @@ def retract(value, delta: np.ndarray, kind: str):
     return np.asarray(value, dtype=float) + delta
 
 
-def local_diff(lin, value, kind: str) -> np.ndarray:
-    """Tangent-space difference of value from a linearization point."""
-    if kind == KIND_POSE:
-        return log(lin.inverse() @ value)
-    if kind == KIND_BIAS:
-        return np.array([float(value) - float(lin)])
-    return np.asarray(value, dtype=float) - np.asarray(lin, dtype=float)
-
-
-def _diff_jacobian(delta: np.ndarray, kind: str) -> np.ndarray:
-    # derivative of local_diff w.r.t. a right perturbation of the value
-    if kind == KIND_POSE:
-        return right_jacobian_inv(delta)
-    return np.eye(delta.size)
-
-
 class MarginalPrior:
     """Dense prior over the variables bordering a marginalized set.
 
@@ -134,22 +125,57 @@ class MarginalPrior:
         self._sqrt = (eigvec[:, keep] * root).T
         with np.errstate(divide="ignore", invalid="ignore"):
             self._rhs = (eigvec[:, keep].T @ self.info_vec) / root
-        self._offsets = np.cumsum([0] + [k.dim for k in self.keys])
+        # pose keys take a batched log of lin^-1 value, with Jr^-1 of it as
+        # their Jacobian factor; the others a plain difference, identity
+        offsets = np.cumsum([0] + [k.dim for k in self.keys])
+        blocks = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
+        self._poses = [i for i, k in enumerate(self.keys) if k.kind == KIND_POSE]
+        self._vectors = [i for i, k in enumerate(self.keys) if k.kind != KIND_POSE]
+        self._pose_cols = _columns(blocks, self._poses)
+        self._vector_cols = _columns(blocks, self._vectors)
+        self._jacobians = [self._sqrt[:, block] for block in blocks]
+        # (poses, rows, 6) blocks of sqrt that Jr^-1 multiplies
+        if self._poses:
+            self._pose_sqrt = np.stack([self._jacobians[i] for i in self._poses])
+            self._lin_inv = _stacked_poses(
+                [self.lin_point[self.keys[i]].inverse() for i in self._poses]
+            )
+        self._lin_vector = _flat([self.lin_point[self.keys[i]] for i in self._vectors])
 
     def __len__(self) -> int:
         return self._sqrt.shape[0]
 
-    def evaluate(self, *values):
-        deltas = [
-            local_diff(self.lin_point[k], v, k.kind) for k, v in zip(self.keys, values)
-        ]
-        stacked = np.concatenate(deltas) if deltas else np.zeros(0)
-        value = self._sqrt @ stacked - self._rhs
-        jacobians = []
-        for i, key in enumerate(self.keys):
-            block = self._sqrt[:, self._offsets[i] : self._offsets[i + 1]]
-            jacobians.append(block @ _diff_jacobian(deltas[i], key.kind))
-        return Residual(value, tuple(jacobians), np.eye(len(self)))
+    def evaluate(self, *values) -> Residual:
+        """Already-whitened rows ``sqrt @ d - rhs`` of the tangent difference ``d``."""
+        d = np.empty(self._sqrt.shape[1])
+        d[self._vector_cols] = _flat([values[i] for i in self._vectors]) - self._lin_vector
+        jacobians = list(self._jacobians)
+        if self._poses:
+            R, p = _stacked_poses([values[i] for i in self._poses])
+            Li, li = self._lin_inv
+            deltas, jr_inv = batch_log_jr_inv(Li @ R, (Li @ p[:, :, None])[:, :, 0] + li)
+            d[self._pose_cols] = deltas.reshape(-1)
+            blocks = self._pose_sqrt @ jr_inv
+            for i, block in zip(self._poses, blocks):
+                jacobians[i] = block
+        value = self._sqrt @ d - self._rhs
+        return Residual(value, tuple(jacobians), None)
+
+
+def _columns(blocks, slots) -> np.ndarray:
+    return np.array([c for i in slots for c in range(blocks[i].start, blocks[i].stop)], int)
+
+
+def _flat(values: list) -> np.ndarray:
+    # biases are floats and offset states 6-vectors; mixed kinds concatenate
+    try:
+        return np.array(values, dtype=float).reshape(-1)
+    except ValueError:
+        return np.concatenate([np.ravel(v) for v in values])
+
+
+def _stacked_poses(poses) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([T.rotation for T in poses]), np.array([T.position for T in poses])
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,6 +220,7 @@ class FactorGraph:
     def __init__(self):
         self.values: dict[VariableKey, object] = {}
         self.factors: list = []
+        self._layout: _Layout | None = None
 
     def add_variable(self, key: VariableKey, value) -> None:
         if key in self.values:
@@ -208,26 +235,14 @@ class FactorGraph:
 
     def cost(self, values: dict | None = None) -> float:
         values = self.values if values is None else values
-        total = 0.0
-        for factor in self.factors:
-            res = factor.evaluate(*[values[k] for k in factor.keys])
-            wr = res.weight @ res.value
-            total += 0.5 * float(wr @ wr)
-        return total
-
-    def ordering(self, keys=None) -> tuple[list, dict, int]:
-        keys = list(self.values if keys is None else keys)
-        offsets = {}
-        dim = 0
-        for key in keys:
-            offsets[key] = dim
-            dim += key.dim
-        return keys, offsets, dim
+        rows = self._layout_for(tuple(self.factors), list(values)).whitened(values)
+        r = _concat([wr for wr, _ in rows])
+        return 0.5 * float(r @ r)
 
     def linearize(self, values: dict | None = None, keys=None, factors=None) -> Linearization:
         """Evaluate every factor once and form the Gauss-Newton system.
 
-        Each factor's whitened rows go into one stacked Jacobian ``J`` and
+        Each group's whitened rows go into one stacked Jacobian ``J`` and
         residual ``r`` over the key ordering (default: the order of
         ``values``); ``H = J^T J``, ``g = -J^T r`` and ``cost = |r|^2 / 2``
         all come from those rows. ``values`` defaults to the graph's own
@@ -235,52 +250,153 @@ class FactorGraph:
         """
         values = self.values if values is None else values
         factors = tuple(self.factors if factors is None else factors)
-        keys, offsets, dim = self.ordering(values if keys is None else keys)
-        residuals, blocks = [], []
-        m = 0
-        for factor in factors:
-            wr, wjs = factor.evaluate(*[values[k] for k in factor.keys]).whitened()
-            for key, wj in zip(factor.keys, wjs):
-                a = offsets.get(key)
-                if a is None:
-                    raise ValueError(f"factor key {key} outside the requested ordering")
-                blocks.append((m, a, wj))
-            residuals.append(wr)
-            m += wr.size
-        r = np.concatenate(residuals) if residuals else np.zeros(0)
-        H, g = _gauss_newton(blocks, r, dim)
+        layout = self._layout_for(factors, list(values if keys is None else keys))
+        r, H, g = layout.system(layout.whitened(values))
         return Linearization(
-            0.5 * float(r @ r), H, g, keys, offsets, tuple(values.values()), factors
+            0.5 * float(r @ r), H, g, layout.keys, layout.offsets, tuple(values.values()),
+            factors,
         )
+
+    def _layout_for(self, factors: tuple, keys: list) -> "_Layout":
+        layout = self._layout
+        if layout is None or not (
+            _identical(layout.factors, factors) and _identical(layout.keys, keys)
+        ):
+            layout = self._layout = _Layout(factors, keys)
+        return layout
 
     def _stepped(self, step: np.ndarray, keys, offsets) -> dict:
         out = dict(self.values)
+        poses = []
         for key in keys:
-            a = offsets[key]
-            out[key] = retract(out[key], step[a : a + key.dim], key.kind)
+            if key.kind == KIND_POSE:
+                poses.append(key)
+            else:
+                a = offsets[key]
+                out[key] = retract(out[key], step[a : a + key.dim], key.kind)
+        if poses:
+            cols = np.array([offsets[k] for k in poses])[:, None] + np.arange(6)
+            out.update(zip(poses, retract_poses([out[k] for k in poses], step[cols])))
         return out
 
 
-def _gauss_newton(blocks, r: np.ndarray, dim: int):
-    """``H = J^T J`` and ``g = -J^T r`` from whitened blocks ``(row, column, J_block)``.
+class _Layout:
+    """How one factor tuple over one key order is evaluated and scattered.
 
-    Window-sized systems stack a dense ``J``. Past ``_DENSE_DIM`` columns a
-    dense product would cost rows x columns^2 flops while ``J`` is almost all
-    zeros, so ``J`` is stacked sparse there (the batch reference solution).
+    Factors are grouped by class in first-seen order. A class with a stacked
+    form becomes one stacked instance; the values its ``evaluate`` reads are
+    gathered per call from one table per variable kind (poses as rotation
+    and position arrays) through index arrays. Any other factor is a group
+    of one that reads its values directly. The row and column of every
+    Jacobian entry follow from the groups' row counts, which the first
+    evaluation supplies; they are rebuilt only if those counts change.
     """
-    shape = (r.size, dim)
-    if dim <= _DENSE_DIM or not blocks:
-        J = np.zeros(shape)
-        for row, col, block in blocks:
-            J[row : row + block.shape[0], col : col + block.shape[1]] += block
-        return J.T @ J, -(J.T @ r)
-    index = np.concatenate(
-        [np.indices(b.shape).reshape(2, -1) + [[row], [col]] for row, col, b in blocks],
-        axis=1,
-    )
-    data = np.concatenate([b.ravel() for _, _, b in blocks])
-    J = scipy.sparse.csr_array((data, (index[0], index[1])), shape=shape)
-    return (J.T @ J).toarray(), -(J.T @ r)
+
+    def __init__(self, factors: tuple, keys: list):
+        self.factors = factors
+        self.keys = keys
+        self.offsets, self.dim = {}, 0
+        where, tables = {}, {}  # key: (first column, row in its kind's table)
+        for key in keys:
+            table = tables.setdefault(key.kind, [])
+            where[key] = (self.dim, len(table))
+            self.offsets[key] = self.dim
+            self.dim += _DIMS[key.kind]
+            table.append(key)
+        members = {}
+        for f in factors:
+            cls = type(f)
+            members.setdefault(cls if hasattr(cls, "stack") else id(f), []).append(f)
+        # a slot is one argument of one group's evaluate: its group, factor
+        # count, width and first entry in ``at``, the (column, table row) of
+        # every factor's key
+        self.groups = []  # (kernel, per argument (kind, table rows) or None)
+        slots, at = [], []
+        for group in members.values():
+            cls = type(group[0])
+            gathers = [] if hasattr(cls, "stack") else None
+            for slot_keys in zip(*(f.keys for f in group)):
+                try:
+                    slot_at = [where[k] for k in slot_keys]
+                except KeyError as err:
+                    raise ValueError(
+                        f"factor key {err.args[0]} outside the requested ordering"
+                    ) from None
+                kind = slot_keys[0].kind
+                slots.append((len(self.groups), len(group), _DIMS[kind], len(at)))
+                at.extend(slot_at)
+                if gathers is not None:
+                    gathers.append((kind, np.array([row for _, row in slot_at])))
+            self.groups.append((group[0] if gathers is None else cls.stack(group), gathers))
+        self.columns = np.array(at, dtype=int).reshape(-1, 2)[:, 0]
+        self.slot_group, self.slot_count, self.slot_width, self.slot_start = (
+            np.array(slots, dtype=int).reshape(-1, 4).T
+        )
+        used = {kind for _, gathers in self.groups for kind, _ in gathers or ()}
+        self.tables = {kind: tables[kind] for kind in used}
+        self.sizes = None
+
+    def whitened(self, values: dict) -> list:
+        """Each group's whitened rows and Jacobians, in group order."""
+        tables = {}
+        for kind, keys in self.tables.items():
+            vals = [values[k] for k in keys]
+            tables[kind] = _stacked_poses(vals) if kind == KIND_POSE else np.array(vals, float)
+        out = []
+        for kernel, gathers in self.groups:
+            if gathers is None:
+                res = kernel.evaluate(*[values[k] for k in kernel.keys])
+            else:
+                res = kernel.evaluate(*[
+                    (tables[kind][0].take(idx, 0), tables[kind][1].take(idx, 0))
+                    if kind == KIND_POSE else tables[kind].take(idx, 0)
+                    for kind, idx in gathers
+                ])
+            out.append(res.whitened())
+        return out
+
+    def system(self, rows: list):
+        """``r``, ``H = J^T J`` and ``g = -J^T r`` from the groups' whitened rows.
+
+        Window-sized systems stack a dense ``J``. Past ``_DENSE_DIM`` columns
+        a dense product would cost rows x columns^2 flops while ``J`` is
+        almost all zeros, so ``J`` is stacked sparse there (the batch
+        reference solution).
+        """
+        sizes = [wr.size for wr, _ in rows]
+        if sizes != self.sizes:
+            self._index(sizes)
+            self.sizes = sizes
+        r = _concat([wr for wr, _ in rows])
+        data = _concat([wj.ravel() for _, wjs in rows for wj in wjs])
+        shape = (r.size, self.dim)
+        if self.dim <= _DENSE_DIM or not data.size:
+            J = np.bincount(self.flat, data, minlength=r.size * self.dim).reshape(shape)
+            return r, J.T @ J, -(J.T @ r)
+        J = scipy.sparse.csr_array((data, (self.rows, self.cols)), shape=shape)
+        return r, (J.T @ J).toarray(), -(J.T @ r)
+
+    def _index(self, sizes: list) -> None:
+        """Row and column of every Jacobian entry, in the order ``system`` ravels them.
+
+        A group of n factors and M rows gives each factor M / n rows; an
+        argument of width d then holds M * d entries, row-major.
+        """
+        sizes = np.array(sizes, dtype=int)
+        group = self.slot_group
+        height = sizes[group] // self.slot_count
+        count = sizes[group] * self.slot_width
+        first = (np.cumsum(sizes) - sizes)[group]
+        slot = np.repeat(np.arange(len(count)), count)
+        entry = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        within, j = np.divmod(entry, self.slot_width[slot])
+        self.rows = first[slot] + within
+        self.cols = self.columns[self.slot_start[slot] + within // height[slot]] + j
+        self.flat = self.rows * self.dim + self.cols
+
+
+def _concat(parts: list) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0)
 
 
 @dataclass(frozen=True)

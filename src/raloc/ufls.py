@@ -27,6 +27,7 @@ from .factors import (
     RangeFactorFixedBias,
     RangeMeasurement,
     Residual,
+    Stackable,
 )
 from .io import config_float, parts_to_pose
 from .lie import Pose, PoseWithCovariance, transport_covariance
@@ -142,18 +143,21 @@ class UflsEstimate:
     flags: frozenset
 
 
-class BiasWalkFactor:
+class BiasWalkFactor(Stackable):
     """Random-walk link between consecutive bias epochs of one anchor."""
+
+    _rows = ("_inv_sigma",)
 
     def __init__(self, key_prev, key_next, sigma: float):
         if sigma <= 0.0:
             raise ValueError("bias walk sigma must be positive")
         self.keys = (key_prev, key_next)
-        self._weight = np.array([[1.0 / sigma]])
+        self._inv_sigma = np.array([1.0 / sigma])
 
-    def evaluate(self, b_prev: float, b_next: float) -> Residual:
-        value = np.array([float(b_next) - float(b_prev)])
-        return Residual(value, (np.array([[-1.0]]), np.array([[1.0]])), self._weight)
+    def evaluate(self, b_prev, b_next) -> Residual:
+        value = np.subtract(b_next, b_prev, dtype=float).reshape(-1)
+        ones = np.ones((len(value), 1))
+        return Residual(value, (-ones, ones), self._inv_sigma[:, None, None])
 
 
 def multilaterate(

@@ -11,6 +11,7 @@ from raloc.factors import (
     OffsetMeasurementFactor,
     PriorFactor,
     RangeFactor,
+    RangeFactorFixedBias,
     RangeMeasurement,
     Residual,
     WnoaFactor,
@@ -25,6 +26,7 @@ from raloc.factors import (
 )
 from raloc.lie import Pose, exp
 from raloc.preintegration import PreintegratedOdometry
+from raloc.ufls import BiasWalkFactor
 
 FD_STEP = 1e-6
 
@@ -323,3 +325,110 @@ def test_type_validation():
         RangeMeasurement(0.0, 0, 1.0, 0.0)
     with pytest.raises(ValueError):
         LeverArm(np.array([np.nan, 0.0, 0.0]))
+
+
+def stacked(poses):
+    return np.array([T.rotation for T in poses]), np.array([T.position for T in poses])
+
+
+def assert_rows_match(rows, refs):
+    """Stacked whitened rows against one whitened reference per measurement."""
+    wr, wjs = rows
+    m = refs[0][0].size
+    for n, (ref_r, ref_js) in enumerate(refs):
+        scale = max(1.0, np.abs(ref_r).max(), *(np.abs(j).max() for j in ref_js))
+        assert np.abs(wr[n * m : (n + 1) * m] - ref_r).max() <= 1e-12 * scale
+        for wj, ref_j in zip(wjs, ref_js):
+            assert np.abs(wj[n * m : (n + 1) * m] - ref_j).max() <= 1e-12 * scale
+
+
+def huber_reference(res, delta):
+    """Huber reweighting of a scalar reference residual, stated plainly."""
+    wr = abs(float(res.weight[0, 0] * res.value[0]))
+    if delta is None or wr <= delta:
+        return res
+    return Residual(res.value, res.jacobians, np.sqrt(delta / wr) * res.weight)
+
+
+def range_case(rng, n):
+    poses = [random_pose(rng) for _ in range(n)]
+    anchors = [Anchor(10 + k, T.position + rng.normal(size=3) * 3.0 + [4.0, 0.0, 0.0])
+               for k, T in enumerate(poses)]
+    arms = [LeverArm(rng.normal(size=3) * 0.2) for _ in range(n)]
+    # a third of the ranges are 3 m off: Huber shrinks those rows only
+    truth = [float(np.linalg.norm(a.position - T.rotation @ arm.offset - T.position))
+             for a, T, arm in zip(anchors, poses, arms)]
+    zs = [RangeMeasurement(0.0, a.id, r + (3.0 if k % 3 == 0 else 0.05 * rng.normal()),
+                           float(rng.uniform(0.05, 0.3)))
+          for k, (a, r) in enumerate(zip(anchors, truth))]
+    deltas = [None if k % 2 else 2.0 for k in range(n)]
+    return poses, anchors, arms, zs, deltas
+
+
+def test_stacked_range_kernels_match_references():
+    rng = np.random.default_rng(31)
+    n = 24
+    poses, anchors, arms, zs, deltas = range_case(rng, n)
+    biases = 0.3 * rng.normal(size=n)
+    factors = [RangeFactor("x", "b", z, a, arm, d)
+               for z, a, arm, d in zip(zs, anchors, arms, deltas)]
+    rows = RangeFactor.stack(factors).evaluate(stacked(poses), biases)
+    singles, refs = [], []
+    for f, T, b, z, a, arm, d in zip(factors, poses, biases, zs, anchors, arms, deltas):
+        singles.append(f.evaluate(T, b).whitened())
+        refs.append(huber_reference(range_residual(T, b, z, a, arm), d).whitened())
+    assert_rows_match(rows.whitened(), singles)
+    assert_rows_match(rows.whitened(), refs)
+    shrunk = rows.weight[:, 0, 0] < np.array([1.0 / z.sigma for z in zs])
+    assert 0 < shrunk.sum() < n
+
+    fixed = [0.3 * float(rng.normal()) for _ in range(n)]
+    factors = [RangeFactorFixedBias("x", z, a, arm, c, d)
+               for z, a, arm, c, d in zip(zs, anchors, arms, fixed, deltas)]
+    rows = RangeFactorFixedBias.stack(factors).evaluate(stacked(poses))
+    singles, refs = [], []
+    for f, T, c, z, a, arm, d in zip(factors, poses, fixed, zs, anchors, arms, deltas):
+        singles.append(f.evaluate(T).whitened())
+        ref = range_residual(T, c, z, a, arm)
+        ref = huber_reference(Residual(ref.value, ref.jacobians[:1], ref.weight), d)
+        refs.append(ref.whitened())
+    assert_rows_match(rows.whitened(), singles)
+    assert_rows_match(rows.whitened(), refs)
+
+
+def test_stacked_range_names_the_coincident_anchor():
+    rng = np.random.default_rng(32)
+    poses, anchors, arms, zs, _ = range_case(rng, 5)
+    anchors[3] = Anchor(7, poses[3].rotation @ arms[3].offset + poses[3].position)
+    factors = [RangeFactor("x", "b", z, a, arm) for z, a, arm in zip(zs, anchors, arms)]
+    with pytest.raises(ValueError, match="anchor 7"):
+        RangeFactor.stack(factors).evaluate(stacked(poses), np.zeros(5))
+
+
+def test_stacked_odometry_kernel_matches_references():
+    rng = np.random.default_rng(33)
+    n = 12
+    ti = [random_pose(rng) for _ in range(n)]
+    tj = [random_pose(rng) for _ in range(n)]
+    spans = [PreintegratedOdometry(0.0, 1.0, random_pose(rng, trans=0.5, rot=0.2),
+                                   random_cov(rng, 6)) for _ in range(n)]
+    factors = [OdometryFactor("i", "j", m) for m in spans]
+    rows = OdometryFactor.stack(factors).evaluate(stacked(ti), stacked(tj)).whitened()
+    singles = [f.evaluate(a, b).whitened() for f, a, b in zip(factors, ti, tj)]
+    refs = [odometry_residual(a, b, m).whitened() for a, b, m in zip(ti, tj, spans)]
+    assert_rows_match(rows, singles)
+    assert_rows_match(rows, refs)
+
+
+def test_stacked_bias_walk_kernel_matches_references():
+    rng = np.random.default_rng(34)
+    n = 10
+    sigmas = rng.uniform(0.01, 0.5, size=n)
+    prev, nxt = rng.normal(size=n), rng.normal(size=n)
+    factors = [BiasWalkFactor("b0", "b1", s) for s in sigmas]
+    rows = BiasWalkFactor.stack(factors).evaluate(prev, nxt).whitened()
+    singles = [f.evaluate(a, b).whitened() for f, a, b in zip(factors, prev, nxt)]
+    refs = [(np.array([(b - a) / s]), (np.array([[-1.0 / s]]), np.array([[1.0 / s]])))
+            for a, b, s in zip(prev, nxt, sigmas)]
+    assert_rows_match(rows, singles)
+    assert_rows_match(rows, refs)

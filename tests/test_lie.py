@@ -216,3 +216,70 @@ def test_twist_ordering_is_translation_first():
     # and the adjoint couples translation to rotation through skew(p)
     Ad = lie.adjoint(lie.Pose(np.eye(3), np.array([1.0, 2.0, 3.0])))
     np.testing.assert_allclose(Ad[:3, 3:], lie.skew([1.0, 2.0, 3.0]), atol=1e-15)
+
+
+def mixed_twists(rng):
+    """Rows in every branch: small-angle, generic and near-pi rotations."""
+    axes = rng.normal(size=(30, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    angles = np.concatenate([
+        [0.0],
+        rng.uniform(0.0, lie.SMALL_ANGLE, size=9),
+        rng.uniform(lie.SMALL_ANGLE, np.pi - 1e-3, size=10),
+        np.pi - rng.uniform(1e-6, 9e-5, size=10),
+    ])
+    xi = np.concatenate([rng.normal(size=(30, 3)), axes * angles[:, None]], axis=1)
+    return xi, angles
+
+
+def test_batched_functions_match_scalar_rows():
+    rng = np.random.default_rng(21)
+    xi, angles = mixed_twists(rng)
+    assert (angles < lie.SMALL_ANGLE).sum() == 10 and (angles > np.pi - 1e-4).sum() == 10
+
+    R, p = lie.batch_exp(xi)
+    logs = lie.batch_log(R, p)
+    jr_inv = lie.batch_right_jacobian_inv(xi)
+    fused_logs, fused_jr_inv = lie.batch_log_jr_inv(R, p)
+    assert np.array_equal(fused_logs, logs)
+    for n in range(len(xi)):
+        T = lie.exp(xi[n])
+        assert np.abs(R[n] - T.rotation).max() <= 1e-12
+        assert np.abs(p[n] - T.position).max() <= 1e-12
+        assert np.abs(logs[n] - lie.log(lie.Pose(R[n], p[n]))).max() <= 1e-12
+        assert np.abs(jr_inv[n] - lie.right_jacobian_inv(xi[n])).max() <= 1e-12
+        assert np.abs(fused_jr_inv[n] - lie.right_jacobian_inv(logs[n])).max() <= 1e-12
+    # the rows really took the near-pi branch of log
+    assert np.all(np.linalg.norm(logs[20:, 3:], axis=1) > np.pi - 1e-4)
+
+
+def test_batched_functions_reject_non_finite_rows():
+    rng = np.random.default_rng(22)
+    xi, _ = mixed_twists(rng)
+    bad = xi.copy()
+    bad[4, 1] = np.nan
+    with pytest.raises(ValueError):
+        lie.exp(bad[4])
+    with pytest.raises(ValueError):
+        lie.batch_exp(bad)
+    R, p = lie.batch_exp(xi)
+    R[7, 2, 0] = np.inf
+    with pytest.raises(ValueError):
+        lie.log(lie.Pose(R[7], p[7]))
+    with pytest.raises(ValueError):
+        lie.batch_log(R, p)
+    with pytest.raises(ValueError):
+        lie.batch_log_jr_inv(R, p)
+
+
+def test_retract_poses_matches_compose_with_exp():
+    rng = np.random.default_rng(23)
+    poses = [lie.exp(random_twist(rng)) for _ in range(4)]
+    # the last one reaches the re-orthonormalization chain length
+    poses[-1] = lie.Pose(poses[-1].rotation, poses[-1].position, lie.RENORM_CHAIN - 1)
+    xi = 0.1 * rng.normal(size=(4, 6))
+    for T, out, x in zip(poses, lie.retract_poses(poses, xi), xi):
+        ref = T @ lie.exp(x)
+        assert out.chain == ref.chain
+        assert np.abs(out.matrix() - ref.matrix()).max() <= 1e-12
+    assert lie.retract_poses(poses, xi)[-1].chain == 0

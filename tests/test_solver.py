@@ -3,6 +3,7 @@ marginal covariance against the dense inverse."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from raloc.factors import (
@@ -11,10 +12,11 @@ from raloc.factors import (
     OdometryFactor,
     PriorFactor,
     RangeFactor,
+    RangeFactorFixedBias,
     RangeMeasurement,
     Residual,
 )
-from raloc.lie import Pose, exp, log
+from raloc.lie import Pose, exp, log, right_jacobian_inv
 from raloc.preintegration import PreintegratedOdometry
 from raloc import solver
 from raloc.solver import (
@@ -27,6 +29,7 @@ from raloc.solver import (
     marginalize,
     optimize,
 )
+from raloc.ufls import BiasWalkFactor
 
 
 def random_pose(rng, trans=1.0, rot=0.2):
@@ -439,18 +442,59 @@ def blockwise_normal_equations(graph, keys):
     return H, g, cost
 
 
-@pytest.mark.parametrize("stacking", ["dense", "sparse"])
-def test_stacked_assembly_matches_blockwise_reference(stacking, monkeypatch):
+def build_mixed_graph(rng, n_poses):
+    """The range graph plus every other stacked kind and a factor with no stacked form.
+
+    Anchor 4 ranges hold a fixed bias. Anchor 5 ranges carry a Huber cap and
+    read a second bias epoch of anchor 1, linked by a bias walk; every other
+    one of them is 3 m off, so Huber reweights only those rows. An odometry
+    factor wrapped in ``CountingFactor`` has no stacked form.
+    """
+    g, pose_keys, bias_keys, truth = build_range_graph(rng, n_poses=n_poses)
+    arm = LeverArm(np.array([0.1, -0.05, 0.02]))
+    fixed = Anchor(4, np.array([3.0, -2.0, 1.0]))
+    capped = Anchor(5, np.array([-1.0, 4.0, 2.0]))
+    epoch = VariableKey.bias(1, 1)
+    g.add_variable(epoch, 0.12)
+    g.add_factor(BiasWalkFactor(bias_keys[1], epoch, 0.05))
+    for k, (key, pose) in enumerate(zip(pose_keys, truth)):
+        antenna = pose.rotation @ arm.offset + pose.position
+        z = RangeMeasurement(k, 4, float(np.linalg.norm(fixed.position - antenna)) + 0.03, 0.1)
+        g.add_factor(RangeFactorFixedBias(key, z, fixed, arm, bias=0.03))
+        spike = 3.0 if k % 2 else 0.0
+        z = RangeMeasurement(k, 5, float(np.linalg.norm(capped.position - antenna)) + spike, 0.1)
+        g.add_factor(RangeFactor(key, epoch, z, capped, arm, huber_delta=10.0))
+    g.add_factor(CountingFactor(
+        odometry(pose_keys[1], pose_keys[3], truth[1].inverse() @ truth[3])
+    ))
+    return g, pose_keys, bias_keys, truth
+
+
+@pytest.mark.parametrize(
+    "stacking, graph",
+    [("dense", "range"), ("sparse", "range"), ("dense", "mixed")],
+    ids=["dense", "sparse", "mixed"],
+)
+def test_stacked_assembly_matches_blockwise_reference(stacking, graph, monkeypatch):
     if stacking == "sparse":
         monkeypatch.setattr(solver, "_DENSE_DIM", 0)
     rng = np.random.default_rng(13)
-    g, pose_keys, bias_keys, _ = build_range_graph(rng, n_poses=6)
+    build = build_mixed_graph if graph == "mixed" else build_range_graph
+    g, pose_keys, bias_keys, _ = build(rng, n_poses=6)
     marginalize(g, [pose_keys[0], bias_keys[0]])
     # move every value off the marginal prior's linearization point
     for key in g.values:
         g.values[key] = solver.retract(g.values[key], 0.05 * rng.normal(size=key.dim), key.kind)
     kinds = {type(f).__name__ for f in g.factors}
     assert {"MarginalPrior", "RangeFactor", "OdometryFactor", "PriorFactor"} <= kinds
+    if graph == "mixed":
+        assert {"RangeFactorFixedBias", "BiasWalkFactor", "CountingFactor"} <= kinds
+        weights = [
+            float(f.evaluate(*[g.values[k] for k in f.keys]).weight[0, 0, 0])
+            for f in g.factors
+            if isinstance(f, RangeFactor) and f.keys[1] == VariableKey.bias(1, 1)
+        ]
+        assert 0 < sum(w < 10.0 for w in weights) < len(weights)
 
     keys = list(g.values)
     rng.shuffle(keys)
@@ -463,3 +507,42 @@ def test_stacked_assembly_matches_blockwise_reference(stacking, monkeypatch):
     assert lin.cost == pytest.approx(g.cost(), rel=1e-12)
     again = g.linearize(keys=keys)
     assert np.array_equal(again.H, lin.H) and np.array_equal(again.g, lin.g)
+
+
+def test_marginal_prior_rows_match_per_key_reference():
+    # the batched log and Jr^-1 over the pose keys, against scalar calls per key:
+    # J^T J = D^T L D and J^T r = D^T (L d - l), with d the per-key tangent
+    # differences and D the block diagonal of their Jr^-1 (identity off poses)
+    rng = np.random.default_rng(14)
+    keys = [VariableKey.pose(0, 0.0), VariableKey.bias(2), VariableKey.pose(1, 1.0),
+            VariableKey.offset(0, 0.0)]
+    lin = {keys[0]: random_pose(rng), keys[1]: 0.2, keys[2]: random_pose(rng),
+           keys[3]: rng.normal(size=6)}
+    a = rng.normal(size=(19, 19))
+    info, info_vec = a @ a.T + np.eye(19), rng.normal(size=19)
+    prior = MarginalPrior(keys, info, info_vec, lin)
+    values = [lin[keys[0]] @ exp(0.2 * rng.normal(size=6)), 0.25,
+              lin[keys[2]] @ exp(0.2 * rng.normal(size=6)), lin[keys[3]] + rng.normal(size=6)]
+    res = prior.evaluate(*values)
+    assert res.weight is None
+    deltas, blocks = [], []
+    for key, value in zip(keys, values):
+        if key.kind == solver.KIND_POSE:
+            deltas.append(log(lin[key].inverse() @ value))
+            blocks.append(right_jacobian_inv(deltas[-1]))
+        else:
+            deltas.append(np.atleast_1d(np.asarray(value, dtype=float) - lin[key]))
+            blocks.append(np.eye(key.dim))
+    d = np.concatenate(deltas)
+    D = scipy.linalg.block_diag(*blocks)
+    J = np.hstack(res.jacobians)
+    assert np.abs(J.T @ J - D.T @ info @ D).max() <= 1e-10 * np.abs(info).max()
+    assert np.abs(J.T @ res.value - D.T @ (info @ d - info_vec)).max() <= 1e-10 * np.abs(
+        info @ d).max()
+
+
+def test_linearize_rejects_a_factor_key_outside_the_ordering():
+    rng = np.random.default_rng(15)
+    g, pose_keys, bias_keys, _ = build_range_graph(rng, n_poses=2)
+    with pytest.raises(ValueError, match="outside the requested ordering"):
+        g.linearize(keys=pose_keys)
