@@ -275,11 +275,15 @@ def test_batched_functions_reject_non_finite_rows():
 def test_retract_poses_matches_compose_with_exp():
     rng = np.random.default_rng(23)
     poses = [lie.exp(random_twist(rng)) for _ in range(4)]
-    # the last one reaches the re-orthonormalization chain length
-    poses[-1] = lie.Pose(poses[-1].rotation, poses[-1].position, lie.RENORM_CHAIN - 1)
+    # the last one reaches the re-orthonormalization chain length, with a
+    # rotation 1e-6 off orthonormal that the reset must repair
+    last = poses[-1]
+    poses[-1] = lie.Pose((1.0 + 1e-6) * last.rotation, last.position, lie.RENORM_CHAIN - 1)
     xi = 0.1 * rng.normal(size=(4, 6))
-    for T, out, x in zip(poses, lie.retract_poses(poses, xi), xi):
+    out = lie.retract_poses(poses, xi)
+    for T, T_out, x in zip(poses, out, xi):
         ref = T @ lie.exp(x)
-        assert out.chain == ref.chain
-        assert np.abs(out.matrix() - ref.matrix()).max() <= 1e-12
-    assert lie.retract_poses(poses, xi)[-1].chain == 0
+        assert T_out.chain == ref.chain
+        assert np.abs(T_out.matrix() - ref.matrix()).max() <= 1e-12
+    assert out[-1].chain == 0
+    assert np.abs(out[-1].rotation @ out[-1].rotation.T - np.eye(3)).max() <= 1e-12
