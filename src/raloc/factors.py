@@ -28,11 +28,11 @@ import scipy.linalg
 from .lie import (
     Pose,
     adjoint,
+    adjoint_rows,
     batch_log_jr_inv,
     log,
     right_jacobian_inv,
     skew,
-    skew_rows,
 )
 from .preintegration import PreintegratedOdometry
 
@@ -387,13 +387,9 @@ class OdometryFactor(Stackable):
         value, jr_inv = batch_log_jr_inv(
             D @ R_rel, (D @ p_rel)[:, :, 0] + self._delta_inv_position
         )
-        # Ad(rel^-1) = [[Rt, -Rt skew(p)], [0, Rt]] for rel = (R, p), Rt = R^T
+        # Ad(rel^-1), rel^-1 = (Rt, -Rt p) for rel = (R, p), Rt = R^T
         Rt = R_rel.transpose(0, 2, 1)
-        ad = np.zeros((len(Rt), 6, 6))
-        ad[:, :3, :3] = Rt
-        ad[:, :3, 3:] = -(Rt @ skew_rows(p_rel[:, :, 0]))
-        ad[:, 3:, 3:] = Rt
-        j_i = -(jr_inv @ ad)
+        j_i = -(jr_inv @ adjoint_rows(Rt, -(Rt @ p_rel)[:, :, 0]))
         return Residual(
             value.reshape(-1), (j_i.reshape(-1, 6), jr_inv.reshape(-1, 6)), self._weight
         )

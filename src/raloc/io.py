@@ -395,12 +395,18 @@ def _merge_strict(schema: dict, data: dict, path: str) -> dict:
 
 
 def _apply_env(config: dict, schema: dict, prefix: str) -> None:
+    """Override keys from ``<prefix><SECTION>_<KEY>`` or ``<prefix><KEY>`` variables.
+
+    Names may contain ``_``, so the longest matching section wins.
+    """
+    sections = sorted((s for s in schema if isinstance(schema[s], dict)), key=len, reverse=True)
     for name, raw in sorted(os.environ.items()):
         if not name.startswith(prefix):
             continue
         tail = name[len(prefix):].lower()
-        section, _, key = tail.partition("_")
-        if section in schema and isinstance(schema[section], dict) and key in schema[section]:
+        section = next((s for s in sections if tail.startswith(s + "_")), None)
+        key = tail[len(section) + 1:] if section is not None else None
+        if section is not None and key in schema[section]:
             config[section][key] = yaml.safe_load(raw)
         elif tail in schema and not isinstance(schema[tail], dict):
             config[tail] = yaml.safe_load(raw)

@@ -331,6 +331,15 @@ def skew_rows(v: np.ndarray) -> np.ndarray:
     return (v @ _SKEW).reshape(-1, 3, 3)
 
 
+def adjoint_rows(R: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(N, 6, 6) Adjoints of the pose rows (R, p), each as ``adjoint`` builds it."""
+    Ad = np.zeros((len(R), 6, 6))
+    Ad[:, :3, :3] = R
+    Ad[:, :3, 3:] = skew_rows(p) @ R
+    Ad[:, 3:, 3:] = R
+    return Ad
+
+
 def _coefficients(small, theta2, series, closed, *args) -> np.ndarray:
     """Coefficient rows (k, N): the ``series`` table in theta^2 where ``small``,
     ``closed(*args)`` elsewhere; each side is computed on its own rows only."""

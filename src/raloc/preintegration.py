@@ -9,6 +9,17 @@ Uncertainty bookkeeping follows the right-perturbation convention from
 :mod:`raloc.lie`; covariances are propagated to second order, which holds to
 within a few percent for per-step rotations up to ~0.2 rad.
 
+A cut over [a, b] has a closed form. With ``begin`` and ``end`` the stream's
+absolute poses at a and b (interpolated between samples), the mean is
+``begin^-1 end`` and the covariance is sum_k w_k Ad_k C_k Ad_k^T, with
+Ad_k = Ad(end^-1 T_k). An absolute stream sums over T_k in [begin, samples
+inside (a, b), end] with w = 1, 2, ..., 2, 1: each inner sample enters two
+successive differences of the per-step ``to_incremental``/``compose`` fold.
+A relative stream sums over the pose T_k at the end of each increment k,
+with that increment's covariance C_k and w_k the share of its duration
+inside [a, b]; this splits an increment straddling a or b in proportion to
+duration along its own screw axis.
+
 Caveat: composing per-sample covariances of an absolute odometry stream
 treats successive samples as independent. Real odometry drift is strongly
 correlated between neighboring samples, so the composed covariance
@@ -20,10 +31,11 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
-from .lie import Pose, PoseWithCovariance, adjoint, exp, log, symmetrize
+from .lie import Pose, PoseWithCovariance, adjoint, adjoint_rows, exp, log, symmetrize
 
 # Tolerance on timestamp continuity checks and cut/sample coincidence.
 STAMP_TOL = 1e-6
@@ -125,11 +137,14 @@ def _identity_span(stamp: float) -> PreintegratedOdometry:
     return PreintegratedOdometry(stamp, stamp, Pose.identity(), np.zeros((6, 6)), True)
 
 
+_stamp = attrgetter("stamp")
+
+
 def sample_at(samples: list[OdometrySample], stamp: float) -> OdometrySample:
     """Interpolated stream value at a stamp inside the sample span."""
     if not samples:
         raise ValueError("empty odometry stream")
-    hi = bisect.bisect_left(samples, stamp, key=lambda s: s.stamp)
+    hi = bisect.bisect_left(samples, stamp, key=_stamp)
     if hi == 0:
         return interpolate(samples[0], samples[0], stamp)
     if hi == len(samples):
@@ -140,11 +155,12 @@ def sample_at(samples: list[OdometrySample], stamp: float) -> OdometrySample:
 def shadow_sample(
     prev: OdometrySample | None, sample: OdometrySample, relative: bool
 ) -> OdometrySample:
-    """Next entry of an absolute-pose copy of the stream, for ``relative_motion``.
+    """Next entry of an absolute-pose copy of the stream.
 
     An absolute sample is its own entry. A relative one is composed onto
-    ``prev`` (identity for the first), with a zero covariance since only the
-    mean serves differential queries.
+    ``prev`` (identity for the first), with a zero covariance: the copy serves
+    ``relative_motion`` and the accumulator's store, which keeps the
+    increment's covariance beside it.
     """
     if not relative:
         return sample
@@ -177,55 +193,51 @@ class OdometryAccumulator:
     since the previous cut. ``start(stamp)`` sets the first cut boundary.
 
     Two input modes:
-      - absolute (default): samples are poses in the odometry frame; pairs
-        are differenced and their covariances transported.
+      - absolute (default): samples are poses in the odometry frame, each
+        with its own covariance.
       - relative: each sample is already an increment covering the time
         since the previous sample (or since the start stamp for the first),
-        and its covariance is used as-is.
+        with the increment's covariance.
+
+    Both keep one store of absolute poses: ``shadow_sample`` composes a
+    relative increment onto the previous pose, from the identity at the
+    start stamp. ``cut`` evaluates the closed form of the module docstring.
     """
 
     def __init__(self, relative: bool = False):
         self.relative = relative
         self._start: float | None = None
-        # absolute mode: samples not yet consumed, first one sits at the
-        # current start stamp (interpolated there by the previous cut)
+        # absolute poses in stamp order, from the last one at or before the
+        # current start stamp on; beside each, the sample's covariance
+        # (absolute mode) or its increment's (relative mode)
         self._samples: list[OdometrySample] = []
-        # relative mode: pending increments since the current start
-        self._pending: list[PreintegratedOdometry] = []
-        self._last_stamp: float | None = None
-
-    @property
-    def latest_stamp(self) -> float | None:
-        return self._last_stamp
+        self._covs: list[np.ndarray] = []
+        # the stream at the start stamp, once a cut has interpolated it there
+        self._begin: OdometrySample | None = None
 
     def start(self, stamp: float) -> None:
         if self._start is not None:
             raise ValueError("accumulator already started")
         if self.relative:
-            if self._last_stamp is not None:
+            if self._samples:
                 raise ValueError("start() must precede pushes in relative mode")
-            self._last_stamp = stamp
-        else:
-            if self._samples and stamp < self._samples[0].stamp - STAMP_TOL:
-                raise ValueError("start stamp precedes first odometry sample")
+            origin = PoseWithCovariance(Pose.identity(), np.zeros((6, 6)))
+            self._samples.append(OdometrySample(stamp, origin))
+            self._covs.append(origin.cov)
+        elif self._samples and stamp < self._samples[0].stamp - STAMP_TOL:
+            raise ValueError("start stamp precedes first odometry sample")
         self._start = stamp
 
     def push(self, sample: OdometrySample) -> None:
-        if self._last_stamp is not None and sample.stamp <= self._last_stamp:
+        prev = self._samples[-1] if self._samples else None
+        if prev is not None and sample.stamp <= prev.stamp:
             raise ValueError(
-                f"odometry stamps must increase: {self._last_stamp} -> {sample.stamp}"
+                f"odometry stamps must increase: {prev.stamp} -> {sample.stamp}"
             )
-        if self.relative:
-            if self._start is None:
-                raise ValueError("relative mode needs start() before pushes")
-            self._pending.append(
-                PreintegratedOdometry(
-                    self._last_stamp, sample.stamp, sample.pose.mean, sample.pose.cov
-                )
-            )
-        else:
-            self._samples.append(sample)
-        self._last_stamp = sample.stamp
+        if self.relative and self._start is None:
+            raise ValueError("relative mode needs start() before pushes")
+        self._samples.append(shadow_sample(prev, sample, self.relative))
+        self._covs.append(sample.pose.cov)
 
     def cut(self, stamp: float) -> PreintegratedOdometry:
         if self._start is None:
@@ -234,79 +246,47 @@ class OdometryAccumulator:
             raise ValueError(f"cut stamp {stamp} precedes window start {self._start}")
         if abs(stamp - self._start) <= STAMP_TOL:
             return _identity_span(self._start)
-        if self._last_stamp is None or stamp > self._last_stamp + STAMP_TOL:
-            raise ValueError(
-                f"cut stamp {stamp} beyond newest odometry {self._last_stamp}"
-            )
-        if self.relative:
-            out = self._cut_relative(stamp)
-        else:
-            out = self._cut_absolute(stamp)
-        self._start = stamp
-        return out
-
-    def _cut_absolute(self, stamp: float) -> PreintegratedOdometry:
         samples = self._samples
+        newest = samples[-1].stamp if samples else None
+        if newest is None or stamp > newest + STAMP_TOL:
+            raise ValueError(f"cut stamp {stamp} beyond newest odometry {newest}")
         if samples[0].stamp > self._start + STAMP_TOL:
             raise ValueError("no odometry sample at or before the window start")
-        # last sample at or before the window start
-        lo = 0
-        while lo + 1 < len(samples) and samples[lo + 1].stamp <= self._start + STAMP_TOL:
-            lo += 1
-        begin = interpolate(samples[lo], samples[min(lo + 1, len(samples) - 1)], self._start)
-        # first sample at or after the cut
-        hi = 0
-        while samples[hi].stamp < stamp - STAMP_TOL:
-            hi += 1
-        end = interpolate(samples[max(hi - 1, 0)], samples[hi], stamp)
-        chain = [begin]
-        chain += [s for s in samples if self._start + STAMP_TOL < s.stamp < stamp - STAMP_TOL]
-        chain.append(end)
-        out = to_incremental(chain[0], chain[1])
-        for prev, curr in zip(chain[1:], chain[2:]):
-            out = compose(out, to_incremental(prev, curr))
-        # keep the interpolated cut sample as the next window's start, plus
-        # everything after it
-        self._samples = [end] + [s for s in samples if s.stamp > stamp + STAMP_TOL]
+        begin = self._begin if self._begin is not None else sample_at(samples, self._start)
+        end = sample_at(samples, stamp)
+        # stored entries strictly after begin, and the first at or after end
+        lo = bisect.bisect_right(samples, begin.stamp, key=_stamp)
+        hi = bisect.bisect_left(samples, end.stamp, key=_stamp)
+        if self.relative:
+            # entry k closes the increment over [t_(k-1), t_k]; weigh it by
+            # the share of that increment inside [begin, end]
+            terms = samples[lo : hi + 1]
+            covs = self._covs[lo : hi + 1]
+            t = np.array([s.stamp for s in samples[lo - 1 : hi + 1]])
+            weights = (
+                np.minimum(t[1:], end.stamp) - np.maximum(t[:-1], begin.stamp)
+            ) / np.diff(t)
+        else:
+            terms = [begin, *samples[lo:hi], end]
+            covs = [begin.pose.cov, *self._covs[lo:hi], end.pose.cov]
+            weights = np.full(len(terms), 2.0)
+            weights[[0, -1]] = 1.0
+        # Ad(end^-1 T_k) for every term pose T_k
+        Re_t = end.pose.mean.rotation.T
+        R = np.array([s.pose.mean.rotation for s in terms])
+        p = np.array([s.pose.mean.position for s in terms])
+        ad = adjoint_rows(Re_t @ R, (p - end.pose.mean.position) @ Re_t.T)
+        cov = np.einsum("nij,nlj->il", (weights[:, None, None] * ad) @ np.array(covs), ad)
+        out = PreintegratedOdometry(
+            begin.stamp,
+            end.stamp,
+            begin.pose.mean.inverse() @ end.pose.mean,
+            symmetrize(cov),
+        )
+        keep = bisect.bisect_right(samples, end.stamp, key=_stamp) - 1
+        del samples[:keep], self._covs[:keep]
+        self._start, self._begin = stamp, end
         return out
-
-    def _cut_relative(self, stamp: float) -> PreintegratedOdometry:
-        done: list[PreintegratedOdometry] = []
-        rest: list[PreintegratedOdometry] = []
-        for inc in self._pending:
-            if inc.end_stamp <= stamp + STAMP_TOL:
-                done.append(inc)
-            elif inc.start_stamp >= stamp - STAMP_TOL:
-                rest.append(inc)
-            else:
-                head, tail = _split_increment(inc, stamp)
-                done.append(head)
-                rest.append(tail)
-        out = _identity_span(self._start)
-        for inc in done:
-            out = compose(out, inc)
-        self._pending = rest
-        return out
-
-
-def _split_increment(
-    inc: PreintegratedOdometry, stamp: float
-) -> tuple[PreintegratedOdometry, PreintegratedOdometry]:
-    """Split one increment at an interior stamp.
-
-    Both halves share the increment's screw axis, so the means compose back
-    to the original exactly. The covariance splits in proportion to
-    duration, with the head's share pre-transported so that composing the
-    halves reproduces the original covariance as well.
-    """
-    u = (stamp - inc.start_stamp) / (inc.end_stamp - inc.start_stamp)
-    xi = log(inc.delta)
-    tail_delta = exp((1.0 - u) * xi)
-    ad_tail = adjoint(tail_delta)
-    head_cov = ad_tail @ (u * inc.cov) @ ad_tail.T
-    head = PreintegratedOdometry(inc.start_stamp, stamp, exp(u * xi), symmetrize(head_cov))
-    tail = PreintegratedOdometry(stamp, inc.end_stamp, tail_delta, (1.0 - u) * inc.cov)
-    return head, tail
 
 
 def accumulate(

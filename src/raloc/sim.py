@@ -113,6 +113,10 @@ class Scenario:
             raise ValueError("speed must be positive")
         if self.duration <= 0.0:
             raise ValueError("duration must be positive")
+        if self.range_rate <= 0.0 or self.odom_rate <= 0.0:
+            raise ValueError("range_rate and odom_rate must be positive")
+        if self.range_sigma < 0.0:
+            raise ValueError("range_sigma must not be negative")
         if not (0.0 <= self.nlos_fraction <= 1.0):
             raise ValueError("nlos_fraction must lie in [0, 1]")
         ids = [a.id for a in self.anchors]

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py: the pair summary on made-up run lines, and checkout sources."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -84,3 +85,25 @@ def test_checkout_directory_recorded_by_commit(bench_pairs, tmp_path):
     (export / "perfbench" / "run.py").write_text("print(1)\n")
     _, source = bench_pairs.checkout(str(export), tmp_path / "scratch", "parent")
     assert source == {"source": str(export.resolve())}
+
+
+def test_report_records_src_line_counts(bench_pairs, tmp_path):
+    result = {"correct": True, "attempted": 1, "failed": 0,
+              "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
+    sides = {}
+    for side, sources in (("parent", ["a\nb\nc\n", "d\n"]), ("change", ["a\n"])):
+        root = tmp_path / side
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text(f"print({json.dumps(result)!r})\n")
+        (root / "src" / "raloc").mkdir(parents=True)
+        for k, text in enumerate(sources):
+            (root / "src" / "raloc" / f"m{k}.py").write_text(text)
+        (root / "src" / "raloc" / "notes.txt").write_text("not counted\n")
+        sides[side] = root
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(sides["parent"]), "--change", str(sides["change"]),
+                             "--workload", "w", "--pairs", "1", "--seed", "1",
+                             "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["src_lines"] == {"parent": 4, "change": 1, "net": -3}
+    assert report["workloads"]["w"]["summary"]["wall_s"]["pairs"] == 1

@@ -114,6 +114,22 @@ class TestSimulate:
         odom = [r for r in records if isinstance(r, rio.OdomRecord)]
         assert len(odom) == 601
 
+    @pytest.mark.parametrize(
+        "key, value", [("range_rate", 0), ("odom_rate", 0), ("range_sigma", -0.1)]
+    )
+    def test_bad_scenario_value_is_an_error(self, tmp_path, capsys, key, value):
+        scenario = {
+            "duration": 3.0,
+            "waypoints": [[1.0, 1.0, 1.0], [5.0, 6.0, 2.0]],
+            "anchors": [{"id": 1, "position": [0.0, 0.0, 0.0]}],
+            key: value,
+        }
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(scenario))
+        assert main(["simulate", "--out", str(tmp_path / "sim"), "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
     def test_bad_preset_is_usage_error(self, tmp_path, capsys):
         assert main(["simulate", "--out", str(tmp_path), "--preset", "bogus"]) == 1
         assert "usage error" in capsys.readouterr().err

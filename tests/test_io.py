@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from raloc import io as rio
+from raloc.sim import SCENARIO_SCHEMA
 from raloc.lie import Pose, exp
 
 
@@ -469,3 +470,15 @@ class TestConfigLoading:
         monkeypatch.setenv("RALOC_UFLS_LEVER_ARM", "[0.1, 0.0, 0.2]")
         cfg = rio.load_config(path, self.SCHEMA)
         assert cfg["ufls"]["lever_arm"] == [0.1, 0.0, 0.2]
+
+    def test_env_override_section_name_with_underscore(self, tmp_path, monkeypatch):
+        # scenario sections odom_noise and odom_drift contain "_" themselves
+        path = tmp_path / "s.yaml"
+        path.write_text("waypoints: [[0, 0, 1], [1, 0, 1]]\nanchors: []\n")
+        monkeypatch.setenv("RALOC_ODOM_NOISE_TRANS", "0.5")
+        monkeypatch.setenv("RALOC_ODOM_DRIFT_YAW", "0.01")
+        monkeypatch.setenv("RALOC_RANGE_RATE", "20.0")
+        cfg = rio.load_config(path, SCENARIO_SCHEMA)
+        assert cfg["odom_noise"] == {"trans": 0.5, "rot": 0.0}
+        assert cfg["odom_drift"]["yaw"] == 0.01
+        assert cfg["range_rate"] == 20.0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from raloc.lie import Pose, PoseWithCovariance, exp, log
+from raloc.lie import Pose, PoseWithCovariance, adjoint, exp, log
 from raloc.preintegration import (
     OdometryAccumulator,
     OdometrySample,
@@ -286,6 +286,73 @@ def test_relative_split_recomposes_exactly():
     rejoined = compose(first, second)
     assert np.allclose(rejoined.delta.matrix(), inc_pose.matrix(), atol=1e-12)
     assert np.allclose(rejoined.cov, rel[0].pose.cov, atol=1e-12)
+
+
+def split_increment(inc, stamp):
+    """Head and tail of an increment split at an interior stamp.
+
+    Both halves share the increment's screw axis, and the covariance splits
+    in proportion to duration, the head's share transported through the
+    tail, so that composing the halves gives back the increment.
+    """
+    u = (stamp - inc.start_stamp) / (inc.end_stamp - inc.start_stamp)
+    xi = log(inc.delta)
+    tail = exp((1.0 - u) * xi)
+    ad = adjoint(tail)
+    head_cov = ad @ (u * inc.cov) @ ad.T
+    return (
+        PreintegratedOdometry(inc.start_stamp, stamp, exp(u * xi), head_cov),
+        PreintegratedOdometry(stamp, inc.end_stamp, tail, (1.0 - u) * inc.cov),
+    )
+
+
+def chain_fold(stream, a, b):
+    """Reference: the per-step ``to_incremental``/``compose`` fold over [a, b].
+
+    ``stream`` holds absolute samples, or ``PreintegratedOdometry``
+    increments, of which the ones straddling a or b are split there.
+    """
+    if isinstance(stream[0], PreintegratedOdometry):
+        out = PreintegratedOdometry(a, a, Pose.identity(), np.zeros((6, 6)))
+        for piece in stream:
+            if piece.end_stamp <= a or piece.start_stamp >= b:
+                continue
+            if piece.start_stamp < a:
+                piece = split_increment(piece, a)[1]
+            if piece.end_stamp > b:
+                piece = split_increment(piece, b)[0]
+            out = compose(out, piece)
+        return out
+
+    def at(t):
+        hi = next(k for k, s in enumerate(stream) if s.stamp >= t)
+        return interpolate(stream[max(hi - 1, 0)], stream[hi], t)
+
+    chain = [at(a)] + [s for s in stream if a < s.stamp < b] + [at(b)]
+    out = to_incremental(chain[0], chain[1])
+    for prev, curr in zip(chain[1:], chain[2:]):
+        out = compose(out, to_incremental(prev, curr))
+    return out
+
+
+@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+def test_accumulate_equals_chain_fold(relative):
+    # 200 Hz stream; cuts on the sample grid (0.25, 0.5, 1.0) and off it,
+    # including two cuts inside one sample interval (0.6012, 0.6037)
+    rng = np.random.default_rng(18)
+    stamps = np.arange(0.0, 1.5 + 1e-9, 1.0 / 200.0)
+    stream = stream_along(rng, stamps, step_sigma=0.05)
+    reference = stream
+    if relative:
+        reference = [to_incremental(prev, curr) for prev, curr in zip(stream, stream[1:])]
+        stream = [sample(inc.end_stamp, inc.delta, inc.cov) for inc in reference]
+    cuts = [0.0, 0.0731, 0.25, 0.5, 0.6012, 0.6037, 1.0, 1.2345, 1.5]
+    outs = accumulate(stream, cuts, relative=relative)
+    for out, a, b in zip(outs, cuts, cuts[1:]):
+        ref = chain_fold(reference, a, b)
+        assert (out.start_stamp, out.end_stamp) == pytest.approx((a, b))
+        assert frobenius_rel(out.delta.matrix(), ref.delta.matrix()) < 1e-12
+        assert frobenius_rel(out.cov, ref.cov) < 1e-12
 
 
 def test_interpolate_endpoints_and_geodesic():

@@ -16,7 +16,8 @@ pair to pair, so a slow phase of the machine falls on both sides alike.
 
 The output file holds every JSON line the runs printed (the result line on
 standard output and the summary line on standard error), per side the
-median and quartiles of every metric, the pairs each side won, and the
+median and quartiles of every metric, the pairs each side won, each side's
+``src/raloc`` line count and their difference (``src_lines``), and the
 machine: CPU count, Python, numpy, scipy, their BLAS, and the thread
 variables. Progress goes to standard error.
 """
@@ -72,6 +73,11 @@ def checkout(spec: str, scratch: Path, side: str) -> tuple[Path, dict]:
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(out)], input=archive, check=True)
     return out, {"source": spec, "commit": commit}
+
+
+def src_lines(where: Path) -> int:
+    """Lines in the program's source files, ``src/raloc/*.py``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (where / "src" / "raloc").glob("*.py"))
 
 
 def blas_info(config) -> dict:
@@ -178,8 +184,11 @@ def main(argv=None) -> int:
         dirs, sources = {}, {}
         for side in SIDES:
             dirs[side], sources[side] = checkout(getattr(args, side), scratch, side)
+        lines = {side: src_lines(dirs[side]) for side in SIDES}
+        lines["net"] = lines["change"] - lines["parent"]
         report = {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
-                  "sources": sources, "machine": machine(), "workloads": {}}
+                  "sources": sources, "src_lines": lines, "machine": machine(),
+                  "workloads": {}}
         for workload in args.workload:
             runs = []
             for pair in range(args.pairs):
