@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import io as rio
 from .factors import Anchor, LeverArm, OdometryFactor, PriorFactor, RangeMeasurement
@@ -26,6 +26,9 @@ from .lie import Pose, PoseWithCovariance, exp
 from .preintegration import accumulate, shadow_sample
 from .solver import FactorGraph, SolveReport, SolverOptions, VariableKey, optimize
 from .ufls import bootstrap_prior, range_factor
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 
 def box_anchors(extent=(7.0, 8.0, 3.5)) -> list[Anchor]:
@@ -188,6 +191,9 @@ def generate_trajectory(
     so any duration works; an open path must be long enough to cover
     ``speed * duration``. Consecutive duplicate waypoints are rejected.
     """
+    # imported here: only the simulator needs it, and it is slow to import
+    from scipy.interpolate import CubicSpline
+
     waypoints = np.atleast_2d(np.asarray(waypoints, dtype=float))
     if waypoints.shape[0] < 2 or waypoints.shape[1] != 3:
         raise ValueError("need at least two 3-d waypoints")

@@ -19,9 +19,15 @@ candidates of one solve. LM linearizes each candidate step once: the
 candidate's cost decides acceptance, and an accepted candidate's system
 serves the next iteration and the covariance query.
 
-The normal equations are solved by dense Cholesky: windows here stay below
-a couple hundred tangent dimensions, where dense factorization is both
-faster and more deterministic than sparse alternatives.
+The normal equations are solved by Cholesky in one of two forms (see
+``_cholesky``). Windows stay below ``_DENSE_DIM`` tangent dimensions, where
+``H`` is dense and one LAPACK factorization is both fastest and
+deterministic. A larger system, the whole-log batch graph, keeps ``H``
+sparse: its poses form a chain whose block is banded, and every other
+variable kind is a narrow border. The pose block is factored banded and the
+border through its Schur complement, so the solve is O(n) in the number of
+poses rather than O(n^3) (the variable-ordering argument of Dellaert &
+Kaess, Square Root SAM, IJRR 2006).
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .factors import Residual
 from .lie import batch_log_jr_inv, exp, retract_poses
@@ -182,14 +189,15 @@ def _stacked_poses(poses) -> tuple[np.ndarray, np.ndarray]:
 class Linearization:
     """Gauss-Newton system of a graph at one set of values.
 
-    ``H`` and ``g`` are laid out by ``keys``/``offsets``. ``point`` and
+    ``H`` and ``g`` are laid out by ``keys``/``offsets``; ``H`` is a dense
+    array up to ``_DENSE_DIM`` columns and a sparse array past it. ``point`` and
     ``factors`` are the exact value and factor objects the system was built
     from; ``is_current`` compares them by identity, so a system is never
     reused once a value or factor has changed.
     """
 
     cost: float
-    H: np.ndarray
+    H: np.ndarray | scipy.sparse.sparray
     g: np.ndarray
     keys: list
     offsets: dict
@@ -358,10 +366,12 @@ class _Layout:
     def system(self, rows: list):
         """``r``, ``H = J^T J`` and ``g = -J^T r`` from the groups' whitened rows.
 
-        Window-sized systems stack a dense ``J``. Past ``_DENSE_DIM`` columns
-        a dense product would cost rows x columns^2 flops while ``J`` is
+        Window-sized systems stack a dense ``J`` and return a dense ``H``.
+        Past ``_DENSE_DIM`` columns a dense product would cost rows x
+        columns^2 flops and a dense ``H`` columns^2 memory while ``J`` is
         almost all zeros, so ``J`` is stacked sparse there (the batch
-        reference solution).
+        reference solution) and ``H`` stays the sparse product, which
+        ``_cholesky`` factors by its structure.
         """
         sizes = [wr.size for wr, _ in rows]
         if sizes != self.sizes:
@@ -374,7 +384,7 @@ class _Layout:
             J = np.bincount(self.flat, data, minlength=r.size * self.dim).reshape(shape)
             return r, J.T @ J, -(J.T @ r)
         J = scipy.sparse.csr_array((data, (self.rows, self.cols)), shape=shape)
-        return r, (J.T @ J).toarray(), -(J.T @ r)
+        return r, J.T @ J, -(J.T @ r)
 
     def _index(self, sizes: list) -> None:
         """Row and column of every Jacobian entry, in the order ``system`` ravels them.
@@ -397,6 +407,78 @@ class _Layout:
 
 def _concat(parts: list) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def _dense(M) -> np.ndarray:
+    return M.toarray() if scipy.sparse.issparse(M) else M
+
+
+def _cholesky(H, keys, shift=0.0):
+    """Factor ``H + diag(shift)`` and return the function that solves against it.
+
+    ``keys`` lay out ``H``'s columns. A dense ``H`` takes one LAPACK Cholesky.
+    A sparse one is ordered poses first, in key order, and every other kind
+    last as the border. The pose block is factored banded, with the band
+    read from its sparsity pattern; the border is eliminated through the
+    dense Cholesky of its Schur complement. The solve takes a vector or a
+    matrix of right-hand sides. Either form raises ``LinAlgError`` on a
+    system that is not positive definite and ``ValueError`` on a non-finite
+    one.
+    """
+    if not scipy.sparse.issparse(H):
+        A = np.array(H, dtype=float, order="F")
+        A.flat[:: A.shape[0] + 1] += shift
+        return _dense_cholesky(A)
+    n = H.shape[0]
+    pose = np.repeat([k.kind == KIND_POSE for k in keys], [k.dim for k in keys])
+    order = np.concatenate([np.flatnonzero(pose), np.flatnonzero(~pose)])
+    m, nb = int(pose.sum()), n - int(pose.sum())
+    where = np.empty(n, dtype=int)
+    where[order] = np.arange(n)
+    coo = H.tocoo()
+    coo.sum_duplicates()
+    if not np.isfinite(coo.data).all():
+        raise ValueError("array must not contain infs or NaNs")
+    r, c, v = where[coo.row], where[coo.col], coo.data
+    shift = np.broadcast_to(shift, (n,))[order]
+    band = (r < m) & (c <= r)
+    kd = int((r[band] - c[band]).max(initial=0))
+    ab = np.zeros((kd + 1, m))
+    ab[r[band] - c[band], c[band]] = v[band]
+    ab[0] += shift[:m]
+    B = np.zeros((m, nb))
+    cross = (r < m) & (c >= m)
+    B[r[cross], c[cross] - m] = v[cross]
+    C = np.zeros((nb, nb))
+    inner = (r >= m) & (c >= m)
+    C[r[inner] - m, c[inner] - m] = v[inner]
+    C.flat[:: nb + 1] += shift[m:]
+    if m:
+        chol = (scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False), True)
+        X = scipy.linalg.cho_solve_banded(chol, B, check_finite=False)
+    else:
+        X = B
+    border = _dense_cholesky(C - B.T @ X) if nb else lambda y: y
+
+    def solve(y):
+        y = np.asarray(y, dtype=float)[order]
+        z = scipy.linalg.cho_solve_banded(chol, y[:m], check_finite=False) if m else y[:m]
+        xb = border(y[m:] - X.T @ y[:m])
+        x = np.empty_like(y)
+        x[order] = np.concatenate([z - X @ xb, xb])
+        return x
+
+    return solve
+
+
+def _dense_cholesky(A: np.ndarray):
+    """LAPACK Cholesky of ``A``'s lower triangle, in place if ``A`` is Fortran-ordered."""
+    if not np.isfinite(A).all():
+        raise ValueError("array must not contain infs or NaNs")
+    factor, info = dpotrf(A, lower=1, clean=0, overwrite_a=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+    return lambda y: dpotrs(factor, y, lower=1)[0]
 
 
 @dataclass(frozen=True)
@@ -430,11 +512,10 @@ def optimize(graph: FactorGraph, opts: SolverOptions = SolverOptions()) -> Solve
     lam = opts.damping
     iterations = 0
     for _ in range(opts.max_iters):
-        diag = np.maximum(np.diag(lin.H), 1e-12)
+        diag = np.maximum(lin.H.diagonal(), 1e-12)
         while True:
             try:
-                chol = scipy.linalg.cho_factor(lin.H + lam * np.diag(diag), lower=True)
-                step = scipy.linalg.cho_solve(chol, lin.g)
+                step = _cholesky(lin.H, lin.keys, lam * diag)(lin.g)
             except (np.linalg.LinAlgError, ValueError):
                 # non-PD or non-finite normal equations: damp harder
                 step = None
@@ -483,13 +564,14 @@ def marginalize(graph: FactorGraph, drop_keys) -> MarginalPrior:
         nd = sum(k.dim for k in drop)
         H_dd = H[:nd, :nd]
         try:
-            chol = scipy.linalg.cho_factor(H_dd, lower=True)
+            solve = _cholesky(H_dd, drop)
         except np.linalg.LinAlgError:
             warnings.warn("singular block during marginalization; adding ridge")
-            chol = scipy.linalg.cho_factor(H_dd + 1e-10 * np.eye(nd), lower=True)
-        gain = scipy.linalg.cho_solve(chol, np.column_stack([H[:nd, nd:], g[:nd]]))
-        info = H[nd:, nd:] - H[nd:, :nd] @ gain[:, :-1]
-        info_vec = g[nd:] - H[nd:, :nd] @ gain[:, -1]
+            solve = _cholesky(H_dd, drop, 1e-10)
+        H_bd = _dense(H[nd:, :nd])
+        gain = solve(np.column_stack([_dense(H[:nd, nd:]), g[:nd]]))
+        info = _dense(H[nd:, nd:]) - H_bd @ gain[:, :-1]
+        info_vec = g[nd:] - H_bd @ gain[:, -1]
     else:
         info = np.zeros((0, 0))
         info_vec = np.zeros(0)
@@ -528,10 +610,10 @@ def marginal_covariances(
         if key not in offsets:
             raise ValueError(f"unknown variable {key}")
     try:
-        if H.size == 0:
+        if H.shape[0] == 0:
             raise np.linalg.LinAlgError("empty system")
-        factor = scipy.linalg.cho_factor(H, lower=True)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+        solve = _cholesky(H, keys)
+    except np.linalg.LinAlgError:
         _raise_singular(H, keys, offsets)
     rhs = np.zeros((H.shape[0], sum(k.dim for k in query)))
     col = 0
@@ -541,7 +623,7 @@ def marginal_covariances(
         rhs[a : a + key.dim, col : col + key.dim] = np.eye(key.dim)
         columns[key] = col
         col += key.dim
-    cols = scipy.linalg.cho_solve(factor, rhs)
+    cols = solve(rhs)
     out = {}
     for key in query:
         a, c = offsets[key], columns[key]
@@ -556,6 +638,7 @@ class SingularSystem(ValueError):
 
 def _raise_singular(H, keys, offsets):
     """Name the unconstrained directions of a non-positive-definite system."""
+    H = _dense(H)  # an error path: the eigendecomposition needs it dense
     eigval, eigvec = np.linalg.eigh(H) if H.size else (np.zeros(0), np.zeros((0, 0)))
     tol = max(eigval.max(initial=0.0), 1.0) * 1e-10
     names = []

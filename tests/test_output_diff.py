@@ -12,6 +12,10 @@ TRAJECTORY = (
     "0.400000000 1.100000000 2.050000000 0.500000000 0.000000000 0.000000000 0.099833417 0.995004165\n"
 )
 BIASES = "0.200000000 3 0.051000000 0.020000000\n0.200000000 4 -0.010000000 0.030000000\n"
+METRICS = (
+    "bias_model: const\nstates: 301\niterations: 7\nfinal_cost: 526.757544860\n"
+    "anchor_0_bias: 0.004877335\n"
+)
 
 
 @pytest.fixture(scope="module")
@@ -63,3 +67,30 @@ def test_lines_that_do_not_pair_up(output_diff, tmp_path):
     with pytest.raises(output_diff.Mismatch, match="line counts"):
         output_diff.compare(a, write(tmp_path, "c.log", BIASES.splitlines(True)[0]))
     assert output_diff.main([str(a), str(tmp_path / "c.log")]) == 2
+
+
+def test_metrics_files_list_each_differing_key(output_diff, tmp_path, capsys):
+    a = write(tmp_path, "a.txt", METRICS)
+    assert output_diff.compare(a, write(tmp_path, "same.txt", METRICS))["max_abs_diff"] == {}
+    assert output_diff.main([str(a), str(tmp_path / "same.txt")]) == 0
+
+    changed = METRICS.replace("iterations: 7", "iterations: 8").replace(
+        "0.004877335", "0.004877338")
+    b = write(tmp_path, "b.txt", changed)
+    out = output_diff.compare(a, b)
+    assert not out["identical"] and out["differing_lines"] == 2
+    assert out["max_abs_diff"].keys() == {"iterations", "anchor_0_bias"}
+    assert out["max_abs_diff"]["iterations"] == 1.0
+    assert out["max_abs_diff"]["anchor_0_bias"] == pytest.approx(3e-9, rel=1e-6)
+    capsys.readouterr()
+    assert output_diff.main([str(a), str(b)]) == 1
+    printed = capsys.readouterr().out
+    assert "differ on 2 of 5 lines" in printed
+    assert "iterations" in printed and "anchor_0_bias" in printed
+    assert "final_cost" not in printed and "states" not in printed
+
+    for text in (METRICS.replace("const", "none"), METRICS.replace("states:", "poses:"),
+                 METRICS.replace("states: 301", "states: many")):
+        with pytest.raises(output_diff.Mismatch):
+            output_diff.compare(a, write(tmp_path, "c.txt", text))
+    assert output_diff.main([str(a), str(tmp_path / "c.txt")]) == 2

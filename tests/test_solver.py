@@ -1,10 +1,13 @@
 """Solver tests: LM behavior, marginalization against direct oracles, and
 marginal covariance against the dense inverse."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
 
 from raloc.factors import (
     Anchor,
@@ -325,6 +328,18 @@ def test_unsolvable_step_reports_nonconvergence():
     assert report.iterations == 0
 
 
+@pytest.mark.parametrize("dense_dim", [256, 0], ids=["dense", "structured"])
+def test_covariance_query_of_a_non_finite_system_is_a_value_error(dense_dim, monkeypatch):
+    monkeypatch.setattr(solver, "_DENSE_DIM", dense_dim)
+    g = FactorGraph()
+    key = VariableKey.pose(0, 0.0)
+    g.add_variable(key, Pose.identity())
+    g.add_factor(NanFactor(key))
+    with pytest.raises(ValueError, match="infs or NaNs") as err:
+        marginal_covariances(g, [key])
+    assert not isinstance(err.value, np.linalg.LinAlgError)
+
+
 def test_max_iters_exhaustion_reports_nonconvergence():
     rng = np.random.default_rng(9)
     g, _, _, _ = build_range_graph(rng)
@@ -499,14 +514,16 @@ def test_stacked_assembly_matches_blockwise_reference(stacking, graph, monkeypat
     keys = list(g.values)
     rng.shuffle(keys)
     lin = g.linearize(keys=keys)
+    H = solver._dense(lin.H)
+    assert isinstance(H, np.ndarray) and (H is lin.H) == (stacking == "dense")
     H_ref, g_ref, cost_ref = blockwise_normal_equations(g, keys)
     assert lin.keys == keys
-    assert np.abs(lin.H - H_ref).max() <= 1e-12 * np.abs(H_ref).max()
+    assert np.abs(H - H_ref).max() <= 1e-12 * np.abs(H_ref).max()
     assert np.abs(lin.g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
     assert lin.cost == pytest.approx(cost_ref, rel=1e-12)
     assert lin.cost == pytest.approx(g.cost(), rel=1e-12)
     again = g.linearize(keys=keys)
-    assert np.array_equal(again.H, lin.H) and np.array_equal(again.g, lin.g)
+    assert np.array_equal(solver._dense(again.H), H) and np.array_equal(again.g, lin.g)
 
 
 def test_marginal_prior_rows_match_per_key_reference():
@@ -546,3 +563,106 @@ def test_linearize_rejects_a_factor_key_outside_the_ordering():
     g, pose_keys, bias_keys, _ = build_range_graph(rng, n_poses=2)
     with pytest.raises(ValueError, match="outside the requested ordering"):
         g.linearize(keys=pose_keys)
+
+
+def interleaved_window(rng, monkeypatch):
+    """A mixed graph with a marginal prior, its biases between its poses in key order."""
+    monkeypatch.setattr(solver, "_DENSE_DIM", 0)
+    g, pose_keys, bias_keys, _ = build_mixed_graph(rng, n_poses=8)
+    marginalize(g, [pose_keys[0], bias_keys[0]])
+    assert any(isinstance(f, MarginalPrior) for f in g.factors)
+    others = [k for k in g.values if k.kind != solver.KIND_POSE]
+    poses = [k for k in g.values if k.kind == solver.KIND_POSE]
+    keys = [k for pair in zip(poses, others + [None] * len(poses)) for k in pair if k]
+    assert len(keys) == len(g.values) and keys[1].kind == solver.KIND_BIAS
+    lin = g.linearize(keys=keys)
+    assert scipy.sparse.issparse(lin.H)
+    return g, lin
+
+
+@pytest.mark.parametrize("damped", [False, True], ids=["undamped", "damped"])
+def test_structured_solve_matches_dense_cholesky(damped, monkeypatch):
+    rng = np.random.default_rng(16)
+    _, lin = interleaved_window(rng, monkeypatch)
+    H = lin.H.toarray()
+    shift = 1e-2 * np.maximum(H.diagonal(), 1e-12) if damped else 0.0
+    chol = scipy.linalg.cho_factor(H + np.diag(np.broadcast_to(shift, H.shape[:1])))
+    for rhs in (lin.g, rng.normal(size=(H.shape[0], 5))):
+        ref = scipy.linalg.cho_solve(chol, rhs)
+        x = solver._cholesky(lin.H, lin.keys, shift)(rhs)
+        assert x.shape == rhs.shape
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        dense = solver._cholesky(H, lin.keys, shift)(rhs)
+        assert np.abs(dense - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_structured_solve_rejects_a_system_that_is_not_positive_definite(monkeypatch):
+    rng = np.random.default_rng(17)
+    _, lin = interleaved_window(rng, monkeypatch)
+    pose_col = lin.offsets[next(k for k in lin.keys if k.kind == solver.KIND_POSE)]
+    bias_col = lin.offsets[next(k for k in lin.keys if k.kind == solver.KIND_BIAS)]
+    for col in (pose_col, bias_col):  # in the banded block, then in the border
+        H = lin.H.tolil()
+        H[col, col] = -1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            solver._cholesky(scipy.sparse.csr_array(H), lin.keys)
+        with pytest.raises(np.linalg.LinAlgError):
+            solver._cholesky(H.toarray(), lin.keys)
+    H = lin.H.tolil()
+    H[pose_col, pose_col] = np.nan
+    with pytest.raises(ValueError):
+        solver._cholesky(scipy.sparse.csr_array(H), lin.keys)
+
+
+def test_structured_covariance_query_matches_dense_inverse(monkeypatch):
+    rng = np.random.default_rng(18)
+    g, lin = interleaved_window(rng, monkeypatch)
+    g.values = {k: g.values[k] for k in lin.keys}
+    lin = g.linearize()
+    dense = np.linalg.inv(lin.H.toarray())
+    query = lin.keys[::3]
+    covs = marginal_covariances(g, query, lin)
+    for key in query:
+        a = lin.offsets[key]
+        block = dense[a : a + key.dim, a : a + key.dim]
+        assert np.abs(covs[key] - block).max() <= 1e-10 * np.abs(block).max()
+
+
+def pose_chain(rng, n, prior=True):
+    """``n`` poses tied by odometry, started off the truth, with a prior on the first."""
+    truth = [Pose.identity()]
+    for _ in range(n - 1):
+        truth.append(truth[-1] @ random_pose(rng, trans=0.5, rot=0.1))
+    keys = [VariableKey.pose(k, float(k)) for k in range(n)]
+    g = FactorGraph()
+    for key, pose in zip(keys, truth):
+        g.add_variable(key, pose @ random_pose(rng, trans=0.05, rot=0.01))
+    if prior:
+        g.add_factor(PriorFactor(keys[0], truth[0], 1e-6 * np.eye(6)))
+    for k in range(n - 1):
+        g.add_factor(odometry(keys[k], keys[k + 1], truth[k].inverse() @ truth[k + 1]))
+    return g, keys, truth
+
+
+def test_gauge_free_structured_system_names_its_directions():
+    g, keys, _ = pose_chain(np.random.default_rng(19), 50, prior=False)
+    assert scipy.sparse.issparse(g.linearize().H)  # 300 dims
+    with pytest.raises(solver.SingularSystem) as err:
+        marginal_covariance(g, keys[0])
+    assert "unconstrained" in str(err.value)
+    assert str(err.value).count("/") == 6
+
+
+def test_structured_optimize_peaks_below_one_dense_matrix():
+    n = 501  # 3,006 tangent dims
+    g, keys, truth = pose_chain(np.random.default_rng(20), n)
+    dense_bytes = (6 * n) ** 2 * 8
+    tracemalloc.start()
+    try:
+        report = optimize(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    assert peak < dense_bytes, f"peak {peak / 1e6:.1f} MB"
+    assert np.linalg.norm(g.values[keys[-1]].position - truth[-1].position) < 1e-6

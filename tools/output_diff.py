@@ -5,12 +5,14 @@ Usage:
     python3 tools/output_diff.py A B
 
 Both files are ``estimate`` or ``batch`` outputs in the layouts of README.md
-("Log format"): trajectory lines ``stamp tx ty tz qx qy qz qw`` or bias
-lines ``stamp id mean sigma``. The script prints whether the files are
-byte-identical and the largest absolute difference between them per column
-group: stamp, position and quaternion for trajectory lines; stamp, bias (the
-mean) and covariance (its sigma) for bias lines. The anchor id of a bias
-line must match exactly.
+("Log format"): trajectory lines ``stamp tx ty tz qx qy qz qw``, bias lines
+``stamp id mean sigma``, or ``metrics.txt`` lines ``key: value``. The script
+prints whether the files are byte-identical and the largest absolute
+difference between them per column group: stamp, position and quaternion
+for trajectory lines; stamp, bias (the mean) and covariance (its sigma) for
+bias lines; for metrics, every key whose value differs. The anchor id of a
+bias line, a metric's key and a non-numeric metric value must match
+exactly.
 
 Exit code: 0 when the files are byte-identical, 1 when they differ only in
 the values of the column groups, 2 when their lines do not pair up (a
@@ -36,6 +38,13 @@ class Mismatch(ValueError):
 
 
 def _layout(fields: list[str]) -> dict:
+    if len(fields) == 2 and fields[0].endswith(":"):
+        # a metrics line: a numeric value is its key's own group
+        try:
+            float(fields[1])
+        except ValueError:
+            return {}
+        return {fields[0][:-1]: [1]}
     groups = LAYOUTS.get(len(fields))
     if groups is None:
         raise Mismatch(f"unknown line layout: {' '.join(fields)!r}")
@@ -54,12 +63,14 @@ def compare(a: Path, b: Path) -> dict:
     for lineno, (la, lb) in enumerate(zip(lines_a, lines_b), start=1):
         fa, fb = la.split(), lb.split()
         groups = _layout(fa)
-        if len(fb) != len(fa):
+        if _layout(fb) != groups:
             raise Mismatch(f"line {lineno}: layouts differ")
         numeric = {c for cols in groups.values() for c in cols}
         if any(x != y for i, (x, y) in enumerate(zip(fa, fb)) if i not in numeric):
             raise Mismatch(f"line {lineno}: exact fields differ")
         differing += la != lb
+        if la == lb and fa[0].endswith(":"):
+            continue  # metrics are listed only where their values differ
         for name, cols in groups.items():
             diff = max(abs(float(fa[c]) - float(fb[c])) for c in cols)
             worst[name] = max(worst.get(name, 0.0), diff)
