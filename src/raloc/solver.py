@@ -453,16 +453,13 @@ def _cholesky(H, keys, shift=0.0):
     inner = (r >= m) & (c >= m)
     C[r[inner] - m, c[inner] - m] = v[inner]
     C.flat[:: nb + 1] += shift[m:]
-    if m:
-        chol = (scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False), True)
-        X = scipy.linalg.cho_solve_banded(chol, B, check_finite=False)
-    else:
-        X = B
+    chol = (scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False), True)
+    X = scipy.linalg.cho_solve_banded(chol, B, check_finite=False)
     border = _dense_cholesky(C - B.T @ X) if nb else lambda y: y
 
     def solve(y):
         y = np.asarray(y, dtype=float)[order]
-        z = scipy.linalg.cho_solve_banded(chol, y[:m], check_finite=False) if m else y[:m]
+        z = scipy.linalg.cho_solve_banded(chol, y[:m], check_finite=False)
         xb = border(y[m:] - X.T @ y[:m])
         x = np.empty_like(y)
         x[order] = np.concatenate([z - X @ xb, xb])

@@ -628,6 +628,21 @@ def test_structured_covariance_query_matches_dense_inverse(monkeypatch):
         assert np.abs(covs[key] - block).max() <= 1e-10 * np.abs(block).max()
 
 
+@pytest.mark.parametrize("drop", ["bias", "poses"])
+def test_structured_marginalization_matches_dense(drop, monkeypatch):
+    # a dropped block of biases alone has no banded part, one of poses no border
+    priors = []
+    for dense_dim in (256, 0):
+        monkeypatch.setattr(solver, "_DENSE_DIM", dense_dim)
+        g, pose_keys, bias_keys, _ = build_range_graph(np.random.default_rng(21), n_poses=6)
+        priors.append(marginalize(g, bias_keys[:1] if drop == "bias" else pose_keys[:2]))
+    dense, structured = priors
+    assert structured.keys == dense.keys
+    assert np.abs(structured.info - dense.info).max() <= 1e-12 * np.abs(dense.info).max()
+    assert np.abs(structured.info_vec - dense.info_vec).max() <= 1e-12 * np.abs(
+        dense.info_vec).max()
+
+
 def pose_chain(rng, n, prior=True):
     """``n`` poses tied by odometry, started off the truth, with a prior on the first."""
     truth = [Pose.identity()]
