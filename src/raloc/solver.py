@@ -432,7 +432,8 @@ def _cholesky(H, keys, shift=0.0):
     n = H.shape[0]
     pose = np.repeat([k.kind == KIND_POSE for k in keys], [k.dim for k in keys])
     order = np.concatenate([np.flatnonzero(pose), np.flatnonzero(~pose)])
-    m, nb = int(pose.sum()), n - int(pose.sum())
+    m = int(pose.sum())
+    nb = n - m
     where = np.empty(n, dtype=int)
     where[order] = np.arange(n)
     coo = H.tocoo()
@@ -446,12 +447,10 @@ def _cholesky(H, keys, shift=0.0):
     ab = np.zeros((kd + 1, m))
     ab[r[band] - c[band], c[band]] = v[band]
     ab[0] += shift[:m]
-    B = np.zeros((m, nb))
-    cross = (r < m) & (c >= m)
-    B[r[cross], c[cross] - m] = v[cross]
-    C = np.zeros((nb, nb))
-    inner = (r >= m) & (c >= m)
-    C[r[inner] - m, c[inner] - m] = v[inner]
+    border_cols = c >= m
+    W = np.zeros((n, nb))
+    W[r[border_cols], c[border_cols] - m] = v[border_cols]
+    B, C = W[:m], W[m:]
     C.flat[:: nb + 1] += shift[m:]
     chol = (scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False), True)
     X = scipy.linalg.cho_solve_banded(chol, B, check_finite=False)
