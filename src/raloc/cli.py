@@ -18,6 +18,7 @@ byte for byte, so run timing goes to stderr, never into files.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -369,6 +370,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     records = read_dataset(args.dataset)
+    gc.freeze()  # the log lives as long as the command: keep it out of GC passes
     cfg = rio.load_config(args.config, ESTIMATOR_SCHEMA)
     anchors = sim.anchors_from_config(cfg["anchors"])
     result = run_pipeline(
@@ -414,6 +416,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_batch(args) -> int:
     records = read_dataset(args.dataset)
+    gc.freeze()  # the log lives as long as the command: keep it out of GC passes
     cfg = rio.load_config(args.config, ESTIMATOR_SCHEMA)
     anchors = sim.anchors_from_config(cfg["anchors"])
     ufls_config = _ufls_config(cfg, "full")

@@ -4,7 +4,10 @@ Variables live on manifolds (poses) or vector spaces (biases, offset
 states); factors supply whitened residual/Jacobian rows. Optimization is
 Levenberg-Marquardt on the normal equations with on-manifold updates.
 Aged variables are folded into a dense marginal prior by Schur complement
-at the current linearization point.
+at the current linearization point. A sliding window folds them from the
+rows the last solve already formed there (its ``Linearization``), so a
+slide evaluates no factor a second time (the sliding-window practice of
+Sibley, Matthies & Sukhatme, JFR 2010).
 
 A factor has ``keys`` and ``evaluate(*values) -> Residual`` (see
 :mod:`raloc.factors`). One linearization groups the factors by class, in
@@ -34,6 +37,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import is_, itemgetter
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -47,7 +53,7 @@ KIND_POSE = "robot_pose"
 KIND_BIAS = "anchor_bias"
 KIND_OFFSET = "offset_state"
 
-# widest system whose stacked Jacobian is kept dense (see _Layout.system)
+# widest system whose stacked Jacobian is kept dense (see _normal_equations)
 _DENSE_DIM = 256
 
 _DIMS = {KIND_POSE: 6, KIND_BIAS: 1, KIND_OFFSET: 6}
@@ -59,25 +65,27 @@ _AXES = {
 }
 
 
-@dataclass(frozen=True)
-class VariableKey:
-    """Identity of one latent variable.
+class VariableKey(tuple):
+    """Identity of one latent variable: the tuple ``(kind, index, epoch)``.
 
     ``epoch`` distinguishes successive bias variables for the same anchor;
     the stamp is bookkeeping only and does not participate in identity.
+    Keys are dict keys on every assembly hot path, so they hash and compare
+    as plain tuples, in C.
     """
 
-    kind: str
-    index: int
-    epoch: int = 0
-    stamp: float = field(default=0.0, compare=False)
+    kind = property(itemgetter(0))
+    index = property(itemgetter(1))
+    epoch = property(itemgetter(2))
 
-    def __post_init__(self):
-        # keys are dict keys on every assembly hot path; hash once
-        object.__setattr__(self, "_hash", hash((self.kind, self.index, self.epoch)))
+    def __new__(cls, kind: str, index: int, epoch: int = 0, stamp: float = 0.0):
+        self = super().__new__(cls, (kind, index, epoch))
+        self.stamp = stamp
+        self.dim = _DIMS[kind]
+        return self
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __getnewargs__(self):
+        return (*self, self.stamp)
 
     @staticmethod
     def pose(index: int, stamp: float) -> "VariableKey":
@@ -90,10 +98,6 @@ class VariableKey:
     @staticmethod
     def offset(index: int, stamp: float) -> "VariableKey":
         return VariableKey(KIND_OFFSET, index, 0, stamp)
-
-    @property
-    def dim(self) -> int:
-        return _DIMS[self.kind]
 
     def __repr__(self) -> str:
         if self.kind == KIND_BIAS:
@@ -126,21 +130,23 @@ class MarginalPrior:
         self.info_vec = np.asarray(info_vec, dtype=float)
         self.lin_point = dict(lin_point)
         eigval, eigvec = np.linalg.eigh(self.info)
-        keep = eigval > max(eigval.max(initial=0.0), 0.0) * 1e-12
-        keep &= eigval > 0.0
+        # the threshold is >= 0, so this also drops non-positive eigenvalues
+        keep = eigval > eigval.max(initial=0.0) * 1e-12
         root = np.sqrt(eigval[keep])
         self._sqrt = (eigvec[:, keep] * root).T
         with np.errstate(divide="ignore", invalid="ignore"):
             self._rhs = (eigvec[:, keep].T @ self.info_vec) / root
         # pose keys take a batched log of lin^-1 value, with Jr^-1 of it as
         # their Jacobian factor; the others a plain difference, identity
-        offsets = np.cumsum([0] + [k.dim for k in self.keys])
-        blocks = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
-        self._poses = [i for i, k in enumerate(self.keys) if k.kind == KIND_POSE]
-        self._vectors = [i for i, k in enumerate(self.keys) if k.kind != KIND_POSE]
-        self._pose_cols = _columns(blocks, self._poses)
-        self._vector_cols = _columns(blocks, self._vectors)
-        self._jacobians = [self._sqrt[:, block] for block in blocks]
+        dims = [k.dim for k in self.keys]
+        offsets = list(accumulate(dims, initial=0))
+        is_pose = [k.kind == KIND_POSE for k in self.keys]
+        self._poses = [i for i, pose in enumerate(is_pose) if pose]
+        self._vectors = [i for i, pose in enumerate(is_pose) if not pose]
+        pose_cols = np.repeat(np.array(is_pose, dtype=bool), dims)
+        self._pose_cols = np.flatnonzero(pose_cols)
+        self._vector_cols = np.flatnonzero(~pose_cols)
+        self._jacobians = [self._sqrt[:, a:b] for a, b in zip(offsets, offsets[1:])]
         # (poses, rows, 6) blocks of sqrt that Jr^-1 multiplies
         if self._poses:
             self._pose_sqrt = np.stack([self._jacobians[i] for i in self._poses])
@@ -169,10 +175,6 @@ class MarginalPrior:
         return Residual(value, tuple(jacobians), None)
 
 
-def _columns(blocks, slots) -> np.ndarray:
-    return np.array([c for i in slots for c in range(blocks[i].start, blocks[i].stop)], int)
-
-
 def _flat(values: list) -> np.ndarray:
     # biases are floats and offset states 6-vectors; mixed kinds concatenate
     try:
@@ -187,13 +189,17 @@ def _stacked_poses(poses) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class Linearization:
-    """Gauss-Newton system of a graph at one set of values.
+    """Gauss-Newton system of a graph at one set of values, and the rows behind it.
 
     ``H`` and ``g`` are laid out by ``keys``/``offsets``; ``H`` is a dense
     array up to ``_DENSE_DIM`` columns and a sparse array past it. ``point`` and
     ``factors`` are the exact value and factor objects the system was built
-    from; ``is_current`` compares them by identity, so a system is never
-    reused once a value or factor has changed.
+    from, ``point`` in ``keys`` order; ``is_current`` compares them by
+    identity, so a system is never reused once a value or factor has changed.
+    ``r`` and ``entries`` are the whitened residual and Jacobian entries, and
+    ``layout``/``index`` say which factor, row and column each belongs to, so
+    ``marginalize`` can re-read the rows of some factors without evaluating
+    them again.
     """
 
     cost: float
@@ -203,6 +209,10 @@ class Linearization:
     offsets: dict
     point: tuple
     factors: tuple
+    r: np.ndarray
+    entries: np.ndarray
+    layout: _Layout
+    index: _Index
 
     def is_current(self, graph: FactorGraph) -> bool:
         """Whether a fresh whole-graph assembly would rebuild exactly this system."""
@@ -215,7 +225,7 @@ class Linearization:
 
 def _identical(a, b) -> bool:
     a, b = tuple(a), tuple(b)
-    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+    return len(a) == len(b) and all(map(is_, a, b))
 
 
 class FactorGraph:
@@ -259,10 +269,11 @@ class FactorGraph:
         values = self.values if values is None else values
         factors = tuple(self.factors if factors is None else factors)
         layout = self._layout_for(factors, list(values if keys is None else keys))
-        r, H, g = layout.system(layout.whitened(values))
+        r, entries, H, g = layout.system(layout.whitened(values))
+        point = tuple(values.values() if keys is None else (values[k] for k in layout.keys))
         return Linearization(
-            0.5 * float(r @ r), H, g, layout.keys, layout.offsets, tuple(values.values()),
-            factors,
+            0.5 * float(r @ r), H, g, layout.keys, layout.offsets, point, factors,
+            r, entries, layout, layout.index,
         )
 
     def _layout_for(self, factors: tuple, keys: list) -> "_Layout":
@@ -288,6 +299,21 @@ class FactorGraph:
         return out
 
 
+class _Index(NamedTuple):
+    """Where a layout's Jacobian entries and rows sit, for one set of group row counts.
+
+    ``rows``/``cols`` are every entry's row and column in the order
+    ``_Layout.system`` ravels them, ``flat`` the two as one index into a dense
+    ``J``, and ``row_factor`` the position in the factor tuple of the factor
+    that owns each row.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    flat: np.ndarray
+    row_factor: np.ndarray
+
+
 class _Layout:
     """How one factor tuple over one key order is evaluated and scattered.
 
@@ -295,8 +321,10 @@ class _Layout:
     form becomes one stacked instance; the values its ``evaluate`` reads are
     gathered per call from one table per variable kind (poses as rotation
     and position arrays) through index arrays. Any other factor is a group
-    of one that reads its values directly. The row and column of every
-    Jacobian entry follow from the groups' row counts, which the first
+    of one that reads its values directly. ``key_factor``/``columns`` hold
+    the position in the factor tuple and the first column of every factor
+    key. The row and column of every Jacobian entry, and the factor of every
+    row (``index``), follow from the groups' row counts, which the first
     evaluation supplies; they are rebuilt only if those counts change.
     """
 
@@ -311,16 +339,17 @@ class _Layout:
             self.offsets[key] = self.dim
             self.dim += _DIMS[key.kind]
             table.append(key)
-        members = {}
-        for f in factors:
+        members = {}  # group: positions of its factors in ``factors``
+        for i, f in enumerate(factors):
             cls = type(f)
-            members.setdefault(cls if hasattr(cls, "stack") else id(f), []).append(f)
+            members.setdefault(cls if hasattr(cls, "stack") else id(f), []).append(i)
         # a slot is one argument of one group's evaluate: its group, factor
         # count, width and first entry in ``at``, the (column, table row) of
         # every factor's key
         self.groups = []  # (kernel, per argument (kind, table rows) or None)
-        slots, at = [], []
-        for group in members.values():
+        slots, at, key_factor = [], [], []
+        for positions in members.values():
+            group = [factors[i] for i in positions]
             cls = type(group[0])
             gathers = [] if hasattr(cls, "stack") else None
             for slot_keys in zip(*(f.keys for f in group)):
@@ -333,16 +362,20 @@ class _Layout:
                 kind = slot_keys[0].kind
                 slots.append((len(self.groups), len(group), _DIMS[kind], len(at)))
                 at.extend(slot_at)
+                key_factor.extend(positions)
                 if gathers is not None:
                     gathers.append((kind, np.array([row for _, row in slot_at])))
             self.groups.append((group[0] if gathers is None else cls.stack(group), gathers))
         self.columns = np.array(at, dtype=int).reshape(-1, 2)[:, 0]
+        self.key_factor = np.array(key_factor, dtype=int)
         self.slot_group, self.slot_count, self.slot_width, self.slot_start = (
             np.array(slots, dtype=int).reshape(-1, 4).T
         )
+        self.group_factors = [np.array(p, dtype=int) for p in members.values()]
         used = {kind for _, gathers in self.groups for kind, _ in gathers or ()}
         self.tables = {kind: tables[kind] for kind in used}
         self.sizes = None
+        self.index = None
 
     def whitened(self, values: dict) -> list:
         """Each group's whitened rows and Jacobians, in group order."""
@@ -364,29 +397,19 @@ class _Layout:
         return out
 
     def system(self, rows: list):
-        """``r``, ``H = J^T J`` and ``g = -J^T r`` from the groups' whitened rows.
-
-        Window-sized systems stack a dense ``J`` and return a dense ``H``.
-        Past ``_DENSE_DIM`` columns a dense product would cost rows x
-        columns^2 flops and a dense ``H`` columns^2 memory while ``J`` is
-        almost all zeros, so ``J`` is stacked sparse there (the batch
-        reference solution) and ``H`` stays the sparse product, which
-        ``_cholesky`` factors by its structure.
-        """
+        """``r``, the Jacobian entries, ``H = J^T J`` and ``g = -J^T r`` from the groups' rows."""
         sizes = [wr.size for wr, _ in rows]
         if sizes != self.sizes:
-            self._index(sizes)
+            self.index = self._index(sizes)
             self.sizes = sizes
         r = _concat([wr for wr, _ in rows])
-        data = _concat([wj.ravel() for _, wjs in rows for wj in wjs])
-        shape = (r.size, self.dim)
-        if self.dim <= _DENSE_DIM or not data.size:
-            J = np.bincount(self.flat, data, minlength=r.size * self.dim).reshape(shape)
-            return r, J.T @ J, -(J.T @ r)
-        J = scipy.sparse.csr_array((data, (self.rows, self.cols)), shape=shape)
-        return r, J.T @ J, -(J.T @ r)
+        entries = _concat([wj.ravel() for _, wjs in rows for wj in wjs])
+        index = self.index
+        return (r, entries) + _normal_equations(
+            r, entries, index.rows, index.cols, self.dim, index.flat
+        )
 
-    def _index(self, sizes: list) -> None:
+    def _index(self, sizes: list) -> _Index:
         """Row and column of every Jacobian entry, in the order ``system`` ravels them.
 
         A group of n factors and M rows gives each factor M / n rows; an
@@ -400,9 +423,31 @@ class _Layout:
         slot = np.repeat(np.arange(len(count)), count)
         entry = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
         within, j = np.divmod(entry, self.slot_width[slot])
-        self.rows = first[slot] + within
-        self.cols = self.columns[self.slot_start[slot] + within // height[slot]] + j
-        self.flat = self.rows * self.dim + self.cols
+        rows = first[slot] + within
+        cols = self.columns[self.slot_start[slot] + within // height[slot]] + j
+        row_factor = np.concatenate([
+            np.repeat(positions, size // len(positions))
+            for positions, size in zip(self.group_factors, sizes)
+        ] or [np.zeros(0, int)])
+        return _Index(rows, cols, rows * self.dim + cols, row_factor)
+
+
+def _normal_equations(r, entries, rows, cols, dim: int, flat=None):
+    """``H = J^T J`` and ``g = -J^T r`` of the Jacobian with ``entries`` at ``rows``/``cols``.
+
+    Window-sized systems stack a dense ``J`` and return a dense ``H``. Past
+    ``_DENSE_DIM`` columns a dense product would cost rows x columns^2 flops
+    and a dense ``H`` columns^2 memory while ``J`` is almost all zeros, so
+    ``J`` is stacked sparse there (the batch reference solution) and ``H``
+    stays the sparse product, which ``_cholesky`` factors by its structure.
+    """
+    shape = (r.size, dim)
+    if dim <= _DENSE_DIM or not entries.size:
+        flat = rows * dim + cols if flat is None else flat
+        J = np.bincount(flat, entries, minlength=r.size * dim).reshape(shape)
+    else:
+        J = scipy.sparse.csr_array((entries, (rows, cols)), shape=shape)
+    return J.T @ J, -(J.T @ r)
 
 
 def _concat(parts: list) -> np.ndarray:
@@ -535,13 +580,20 @@ def optimize(graph: FactorGraph, opts: SolverOptions = SolverOptions()) -> Solve
     return SolveReport(False, iterations, lin.cost, lin)
 
 
-def marginalize(graph: FactorGraph, drop_keys) -> MarginalPrior:
+def marginalize(
+    graph: FactorGraph, drop_keys, linearization: Linearization | None = None
+) -> MarginalPrior:
     """Fold the dropped variables into a dense prior on their neighbors.
 
     Every factor touching a dropped key is removed and its information,
     linearized at the current estimates, is Schur-complemented onto the
-    bordering variables. The resulting prior is installed in the graph
-    (unless it is empty) and returned.
+    bordering variables. A ``linearization`` (say, the one the last
+    ``optimize`` reported) lends its rows: the system of the touched factors
+    is re-read from them, without a new layout or evaluation, as long as
+    every touched factor is one of its factors and every dropped and
+    bordering value is the object it was linearized at. Otherwise the
+    touched factors are evaluated afresh. The resulting prior is installed
+    in the graph (unless it is empty) and returned.
     """
     drop_set = set(drop_keys)
     drop = [k for k in graph.values if k in drop_set]
@@ -549,14 +601,20 @@ def marginalize(graph: FactorGraph, drop_keys) -> MarginalPrior:
     if missing:
         raise ValueError(f"cannot marginalize unknown variables {sorted(missing, key=repr)}")
 
-    touched = [f for f in graph.factors if any(k in drop_set for k in f.keys)]
-    touched_keys = {k for f in touched for k in f.keys}
-    border = [k for k in graph.values if k not in drop_set and k in touched_keys]
+    folded = None if linearization is None else _reread(graph, drop, linearization)
+    if folded is None:
+        touched = [not drop_set.isdisjoint(f.keys) for f in graph.factors]
+        factors = [f for f, t in zip(graph.factors, touched) if t]
+        touched_keys = {k for f in factors for k in f.keys}
+        border = [k for k in graph.values if k not in drop_set and k in touched_keys]
+        if factors:
+            lin = graph.linearize(keys=drop + border, factors=factors)
+            folded = touched, border, lin.H, lin.g
+        else:
+            folded = touched, border, None, None
+    touched, border, H, g = folded
 
-    if touched:
-        local = drop + border
-        lin = graph.linearize(keys=local, factors=touched)
-        H, g = lin.H, lin.g
+    if H is not None:
         nd = sum(k.dim for k in drop)
         H_dd = H[:nd, :nd]
         try:
@@ -575,12 +633,58 @@ def marginalize(graph: FactorGraph, drop_keys) -> MarginalPrior:
     prior = MarginalPrior(
         border, info, info_vec, {k: graph.values[k] for k in border}
     )
-    graph.factors = [f for f in graph.factors if f not in touched]
+    graph.factors = [f for f, t in zip(graph.factors, touched) if not t]
     for key in drop:
         del graph.values[key]
     if border:
         graph.add_factor(prior)
     return prior
+
+
+def _reread(graph: FactorGraph, drop: list, lin: Linearization):
+    """The touched-factor flags, border, ``H`` and ``g`` of ``marginalize``, from ``lin``'s rows.
+
+    None when ``lin`` cannot stand for a fresh assembly: the graph's factors
+    do not start with ``lin``'s, a factor added since touches a dropped key,
+    or a dropped or bordering value is not the one ``lin`` was built at.
+    """
+    n, factors = len(lin.factors), graph.factors
+    drop_set = set(drop)
+    if (
+        len(factors) < n
+        or not all(map(is_, lin.factors, factors))
+        or not drop_set.isdisjoint([k for f in factors[n:] for k in f.keys])
+        or not drop_set <= lin.offsets.keys()
+    ):
+        return None
+    layout, offsets = lin.layout, lin.offsets
+    is_drop = np.zeros(layout.dim, dtype=bool)
+    is_drop[[offsets[k] for k in drop]] = True
+    touched = np.zeros(n, dtype=bool)
+    touched[layout.key_factor[is_drop[layout.columns]]] = True
+    near = set(layout.columns[touched[layout.key_factor]].tolist())
+    border = [k for k in graph.values if offsets.get(k) in near and k not in drop_set]
+    local = drop + border
+    at = dict(zip(lin.keys, lin.point))
+    if any(graph.values[k] is not at.get(k) for k in local):
+        return None
+
+    flags = touched.tolist() + [False] * (len(factors) - n)
+    if not touched.any():
+        return flags, border, None, None
+    # the touched factors' rows, over the columns of drop + border
+    columns = [c for k in local for c in range(offsets[k], offsets[k] + k.dim)]
+    column = np.empty(layout.dim, dtype=int)
+    column[columns] = np.arange(len(columns))
+    index = lin.index
+    kept = touched[index.row_factor]
+    row = np.cumsum(kept) - 1
+    entry = kept[index.rows]
+    H, g = _normal_equations(
+        lin.r[kept], lin.entries[entry], row[index.rows[entry]],
+        column[index.cols[entry]], len(columns),
+    )
+    return flags, border, H, g
 
 
 def marginal_covariance(graph: FactorGraph, key: VariableKey) -> np.ndarray:

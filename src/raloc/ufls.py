@@ -41,6 +41,7 @@ from .preintegration import (
 )
 from .solver import (
     FactorGraph,
+    Linearization,
     SolverOptions,
     VariableKey,
     marginal_covariances,
@@ -297,6 +298,8 @@ class Ufls:
         self._bootstrap_ranges: list[RangeMeasurement] = []
         self._bootstrap_increments: list[OdometrySample] = []
         self._retired: list[tuple[float, Pose]] = []
+        # the last solve's system, whose rows the next window slide folds
+        self._solved: Linearization | None = None
 
     @property
     def latest(self) -> UflsEstimate | None:
@@ -529,7 +532,7 @@ class Ufls:
         for k in self._pose_keys:
             if k.stamp < keep_from:
                 self._retired.append((k.stamp, self._graph.values[k]))
-        marginalize(self._graph, drop)
+        marginalize(self._graph, drop, self._solved)
         dropped = set(drop)
         self._pose_keys = [k for k in self._pose_keys if k not in dropped]
         for k in dropped:
@@ -537,6 +540,7 @@ class Ufls:
 
     def _finish_update(self, now: float, flags: set) -> UflsEstimate:
         report = optimize(self._graph, self._config.solver)
+        self._solved = report.linearization
         if not report.converged:
             flags.add("not_converged")
         if not np.isfinite(report.final_cost):

@@ -1,6 +1,7 @@
 """Solver tests: LM behavior, marginalization against direct oracles, and
 marginal covariance against the dense inverse."""
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -55,6 +56,18 @@ def test_variable_key_identity_ignores_stamp():
         g.add_variable(b, Pose.identity())
     with pytest.raises(ValueError):
         g.add_factor(PriorFactor(VariableKey.pose(9, 0.0), Pose.identity(), np.eye(6)))
+
+
+def test_variable_keys_differing_only_in_stamp_share_a_dict_slot():
+    a = VariableKey.pose(3, 1.5)
+    b = VariableKey.pose(3, 2.5)
+    assert a is not b and hash(a) == hash(b) == hash((solver.KIND_POSE, 3, 0))
+    table = {a: "first"}
+    table[b] = "second"
+    assert len(table) == 1 and table[a] == "second"
+    assert next(iter(table)).stamp == 1.5  # the slot keeps the key that made it
+    assert (a.kind, a.index, a.epoch, a.dim, repr(a)) == (solver.KIND_POSE, 3, 0, 6, "pose(3, t=1.500)")
+    assert repr(VariableKey.bias(2, 4)) == "bias(a2, e4)" and VariableKey.bias(2, 4).dim == 1
 
 
 def test_exact_prior_converges_immediately():
@@ -681,3 +694,115 @@ def test_structured_optimize_peaks_below_one_dense_matrix():
     assert report.converged
     assert peak < dense_bytes, f"peak {peak / 1e6:.1f} MB"
     assert np.linalg.norm(g.values[keys[-1]].position - truth[-1].position) < 1e-6
+
+
+def captured_slides(monkeypatch):
+    """Every window slide of a short UFLS replay with a bias walk.
+
+    Each is the graph's values and factors just before the slide, the keys
+    it drops and the previous solve's linearization.
+    """
+    from conftest import replay_ufls
+
+    from raloc import sim, ufls as ufls_module
+
+    slides = []
+    fold = ufls_module.marginalize
+
+    def capture(graph, drop, linearization=None):
+        slides.append((dict(graph.values), list(graph.factors), list(drop), linearization))
+        return fold(graph, drop, linearization)
+
+    monkeypatch.setattr(ufls_module, "marginalize", capture)
+    sc = sim.preset_scenario("small", seed=5, duration=6.0)
+    ds = sim.simulate(sc)
+    config = ufls_module.UflsConfig(initial_pose=ds.truth[0][1], bias_walk_sigma=0.05)
+    replay_ufls(ds, ufls_module.Ufls(config, sc.anchors))
+    monkeypatch.setattr(ufls_module, "marginalize", fold)
+    return slides
+
+
+def fold_slide(values, factors, drop, linearization=None):
+    g = FactorGraph()
+    g.values, g.factors = dict(values), list(factors)
+    prior = marginalize(g, drop, linearization)
+    return g, prior
+
+
+def count_linearizations(monkeypatch):
+    calls = []
+    linearize = FactorGraph.linearize
+
+    def counted(self, *args, **kwargs):
+        calls.append(kwargs.get("factors"))
+        return linearize(self, *args, **kwargs)
+
+    monkeypatch.setattr(FactorGraph, "linearize", counted)
+    return calls
+
+
+def test_marginalize_from_the_last_solve_matches_a_fresh_assembly(monkeypatch):
+    slides = captured_slides(monkeypatch)
+
+    def wanted(slide):
+        values, factors, drop, lin = slide
+        drop_set = set(drop)
+        touches = [not drop_set.isdisjoint(f.keys) for f in factors]
+        ranges = [t for f, t in zip(factors, touches) if isinstance(f, RangeFactor)]
+        return (
+            lin is not None
+            and 0 < sum(ranges) < len(ranges)  # the stacked range group is split
+            and any(t and isinstance(f, MarginalPrior) for f, t in zip(factors, touches))
+            and any(isinstance(f, BiasWalkFactor) and f.keys[0] in drop_set for f in factors)
+        )
+
+    chosen = [slide for slide in slides if wanted(slide)]
+    assert chosen, "no slide drops a pose and a stale bias epoch beside a marginal prior"
+    calls = count_linearizations(monkeypatch)
+    for values, factors, drop, lin in chosen:
+        reused_graph, reused = fold_slide(values, factors, drop, lin)
+        assert calls == []  # no evaluation: the rows come from the last solve
+        fresh_graph, fresh = fold_slide(values, factors, drop)
+        assert len(calls) == 1
+        calls.clear()
+        assert reused.keys == fresh.keys
+        assert np.abs(reused.info - fresh.info).max() <= 1e-12 * np.abs(fresh.info).max()
+        assert np.abs(reused.info_vec - fresh.info_vec).max() <= 1e-12 * np.abs(
+            fresh.info_vec).max()
+        assert list(reused_graph.values) == list(fresh_graph.values)
+        assert all(a is b for a, b in zip(reused_graph.factors[:-1], fresh_graph.factors[:-1]))
+        assert len(reused_graph.factors) == len(fresh_graph.factors)
+
+
+def stale_slide(monkeypatch):
+    slides = [s for s in captured_slides(monkeypatch) if s[3] is not None]
+    assert slides
+    return slides[len(slides) // 2]
+
+
+def assert_same_prior(a, b):
+    assert a.keys == b.keys
+    assert np.array_equal(a.info, b.info) and np.array_equal(a.info_vec, b.info_vec)
+
+
+def test_marginalize_falls_back_when_a_new_factor_touches_a_dropped_state(monkeypatch):
+    values, factors, drop, lin = stale_slide(monkeypatch)
+    # a second range to a dropped pose, arriving after the solve
+    late = copy.copy(next(f for f in factors if isinstance(f, RangeFactor) and f.keys[0] in drop))
+    factors = factors + [late]
+    calls = count_linearizations(monkeypatch)
+    g, prior = fold_slide(values, factors, drop, lin)
+    assert len(calls) == 1 and late in calls[0]  # assembled afresh, the late range included
+    assert late not in g.factors
+    assert_same_prior(prior, fold_slide(values, factors, drop)[1])
+
+
+def test_marginalize_falls_back_when_a_value_was_replaced(monkeypatch):
+    values, factors, drop, lin = stale_slide(monkeypatch)
+    g, _ = fold_slide(values, factors, drop, lin)
+    border = next(k for k in g.factors[-1].keys if k.kind == solver.KIND_POSE)
+    values = {**values, border: values[border] @ exp(np.full(6, 1e-3))}
+    calls = count_linearizations(monkeypatch)
+    _, prior = fold_slide(values, factors, drop, lin)
+    assert len(calls) == 1
+    assert_same_prior(prior, fold_slide(values, factors, drop)[1])

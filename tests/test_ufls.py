@@ -390,3 +390,38 @@ class TestCausality:
         assert [z.stamp for z in ufls._range_queue] == [0.75]
         ufls.update(0.8)
         assert ufls._range_queue == []
+
+
+class TestWindowSlide:
+    def test_slides_fold_the_last_solve_without_linearizing(self, monkeypatch):
+        from raloc import solver, ufls as ufls_module
+
+        slides, inside = [], []
+        fold = ufls_module.marginalize
+        linearize = solver.FactorGraph.linearize
+
+        def counted_fold(graph, drop, linearization=None):
+            slides.append(linearization)
+            inside.append(0)
+            try:
+                return fold(graph, drop, linearization)
+            finally:
+                inside.pop()
+
+        def counted_linearize(self, *args, **kwargs):
+            if inside:
+                raise AssertionError("marginalize evaluated factors afresh")
+            return linearize(self, *args, **kwargs)
+
+        monkeypatch.setattr(ufls_module, "marginalize", counted_fold)
+        monkeypatch.setattr(solver.FactorGraph, "linearize", counted_linearize)
+        sc = sim.preset_scenario("small", seed=7, duration=8.0)
+        ds = sim.simulate(sc)
+        ufls = Ufls(UflsConfig(initial_pose=ds.truth[0][1]), sc.anchors)
+        replay_ufls(ds, ufls)
+        assert len(slides) >= 30 and all(lin is not None for lin in slides)
+
+        # the benchmark probe reads these two fields of a solve's system by name
+        lin = ufls._solved
+        assert lin.H.shape == (lin.g.size, lin.g.size)
+        assert lin.factors == tuple(ufls._graph.factors)
