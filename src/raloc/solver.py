@@ -199,7 +199,9 @@ class Linearization:
     ``r`` and ``entries`` are the whitened residual and Jacobian entries, and
     ``layout``/``index`` say which factor, row and column each belongs to, so
     ``marginalize`` can re-read the rows of some factors without evaluating
-    them again.
+    them again. A sparse system keeps no ``entries`` (None): only the
+    whole-log batch solve, which marginalizes nothing, is that wide, and
+    holding them would raise its peak memory.
     """
 
     cost: float
@@ -210,7 +212,7 @@ class Linearization:
     point: tuple
     factors: tuple
     r: np.ndarray
-    entries: np.ndarray
+    entries: np.ndarray | None
     layout: _Layout
     index: _Index
 
@@ -273,7 +275,7 @@ class FactorGraph:
         point = tuple(values.values() if keys is None else (values[k] for k in layout.keys))
         return Linearization(
             0.5 * float(r @ r), H, g, layout.keys, layout.offsets, point, factors,
-            r, entries, layout, layout.index,
+            r, None if scipy.sparse.issparse(H) else entries, layout, layout.index,
         )
 
     def _layout_for(self, factors: tuple, keys: list) -> "_Layout":
@@ -646,7 +648,8 @@ def _reread(graph: FactorGraph, drop: list, lin: Linearization):
 
     None when ``lin`` cannot stand for a fresh assembly: the graph's factors
     do not start with ``lin``'s, a factor added since touches a dropped key,
-    or a dropped or bordering value is not the one ``lin`` was built at.
+    ``lin`` kept no rows (a sparse system), or a dropped or bordering value
+    is not the one ``lin`` was built at.
     """
     n, factors = len(lin.factors), graph.factors
     drop_set = set(drop)
@@ -655,6 +658,7 @@ def _reread(graph: FactorGraph, drop: list, lin: Linearization):
         or not all(map(is_, lin.factors, factors))
         or not drop_set.isdisjoint([k for f in factors[n:] for k in f.keys])
         or not drop_set <= lin.offsets.keys()
+        or lin.entries is None
     ):
         return None
     layout, offsets = lin.layout, lin.offsets

@@ -656,6 +656,19 @@ def test_structured_marginalization_matches_dense(drop, monkeypatch):
         dense.info_vec).max()
 
 
+def test_marginalize_falls_back_on_a_sparse_system(monkeypatch):
+    # a sparse system keeps no Jacobian entries to re-read
+    monkeypatch.setattr(solver, "_DENSE_DIM", 0)
+    g, pose_keys, _, _ = build_range_graph(np.random.default_rng(22), n_poses=6)
+    lin = optimize(g).linearization
+    assert scipy.sparse.issparse(lin.H) and lin.entries is None
+    values, factors = dict(g.values), list(g.factors)
+    calls = count_linearizations(monkeypatch)
+    _, prior = fold_slide(values, factors, pose_keys[:2], lin)
+    assert len(calls) == 1
+    assert_same_prior(prior, fold_slide(values, factors, pose_keys[:2])[1])
+
+
 def pose_chain(rng, n, prior=True):
     """``n`` poses tied by odometry, started off the truth, with a prior on the first."""
     truth = [Pose.identity()]
