@@ -591,7 +591,8 @@ def marginalize(
     linearized at the current estimates, is Schur-complemented onto the
     bordering variables. A ``linearization`` (say, the one the last
     ``optimize`` reported) lends its rows: the system of the touched factors
-    is re-read from them, without a new layout or evaluation, as long as
+    is re-read from them, at its linearization point and without a new
+    layout or evaluation, as long as it kept them (a dense system does),
     every touched factor is one of its factors and every dropped and
     bordering value is the object it was linearized at. Otherwise the
     touched factors are evaluated afresh. The resulting prior is installed
@@ -603,19 +604,8 @@ def marginalize(
     if missing:
         raise ValueError(f"cannot marginalize unknown variables {sorted(missing, key=repr)}")
 
-    folded = None if linearization is None else _reread(graph, drop, linearization)
-    if folded is None:
-        touched = [not drop_set.isdisjoint(f.keys) for f in graph.factors]
-        factors = [f for f, t in zip(graph.factors, touched) if t]
-        touched_keys = {k for f in factors for k in f.keys}
-        border = [k for k in graph.values if k not in drop_set and k in touched_keys]
-        if factors:
-            lin = graph.linearize(keys=drop + border, factors=factors)
-            folded = touched, border, lin.H, lin.g
-        else:
-            folded = touched, border, None, None
-    touched, border, H, g = folded
-
+    folded = linearization is not None and _reread(graph, drop, linearization)
+    touched, border, H, g = folded or _assemble(graph, drop)
     if H is not None:
         nd = sum(k.dim for k in drop)
         H_dd = H[:nd, :nd]
@@ -641,6 +631,19 @@ def marginalize(
     if border:
         graph.add_factor(prior)
     return prior
+
+
+def _assemble(graph: FactorGraph, drop: list):
+    """The touched-factor flags, border, ``H`` and ``g`` of ``marginalize``, evaluated afresh."""
+    drop_set = set(drop)
+    touched = [not drop_set.isdisjoint(f.keys) for f in graph.factors]
+    factors = [f for f, t in zip(graph.factors, touched) if t]
+    touched_keys = {k for f in factors for k in f.keys}
+    border = [k for k in graph.values if k not in drop_set and k in touched_keys]
+    if not factors:
+        return touched, border, None, None
+    lin = graph.linearize(keys=drop + border, factors=factors)
+    return touched, border, lin.H, lin.g
 
 
 def _reread(graph: FactorGraph, drop: list, lin: Linearization):
